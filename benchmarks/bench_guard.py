@@ -87,11 +87,8 @@ SCALE_REQUIRED_FIELDS: dict[str, tuple[type, ...]] = {
     "route_read_per_s": (int, float),
     "pinned_epoch_read_per_s": (int, float),
     "epoch_publish_ms": (int, float),
-    "compact_bytes_per_tuple": (int, float),
-    "standard_bytes_per_tuple": (int, float),
-    "dense_map_bytes_per_key": (int, float),
-    "standard_map_bytes_per_key": (int, float),
-    "stack_bytes_ratio": (int, float),
+    "bytes_per_tuple": (int, float),
+    "map_bytes_per_key": (int, float),
     # End-to-end simulation section: an actual production_scale run
     # (arrivals + schedulers at 100+ nodes), not just the dataset and
     # routing layers.

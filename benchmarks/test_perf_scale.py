@@ -1,7 +1,7 @@
 """Perf harness for the cluster-scale tier: memory and wall-clock vs nodes.
 
 Builds the ``production_scale`` preset's dataset layer (streaming type
-generation → dense partition map → compact per-node stores) at each
+generation → partition map → per-node stores) at each
 node count and writes ``BENCH_scale.json`` at the repo root:
 
 * **build wall-clock + peak RSS per node count** — the headline scale
@@ -10,11 +10,11 @@ node count and writes ``BENCH_scale.json`` at the repo root:
   per-node overhead is bounded).  Node counts run ascending because
   ``ru_maxrss`` is a process-lifetime high-water mark.
 * **routing at scale** — route reads, deep-pinned epoch reads, and
-  publish latency against the 1M-key dense map, proving the O(1)
+  publish latency against the 1M-key map, proving the O(1)
   fast paths hold at three orders of magnitude above the figure presets;
-* **compact vs standard bytes/tuple** — a tracemalloc pass (separate
-  from the wall-clock section: tracing slows allocation) loading the
-  same sample into both store implementations;
+* **bytes/tuple and bytes/key** — a tracemalloc pass (separate from
+  the wall-clock section: tracing slows allocation) loading a sample
+  into one store and one map, each held under an absolute ceiling;
 * **end-to-end simulation at 100+ nodes** — an actual
   ``production_scale`` run through ``run_experiment`` (Poisson
   arrivals, Hybrid scheduler, locks, 2PC, repartitioning) recording the
@@ -42,20 +42,10 @@ import resource
 import time
 import tracemalloc
 
-from repro.experiments import (
-    production_scale,
-    run_experiment,
-    uses_compact_storage,
-)
-from repro.experiments.runner import make_partition_map, resolve_store_factory
-from repro.routing import (
-    DensePartitionMap,
-    PartitionMap,
-    PartitionMapStore,
-    QueryRouter,
-)
+from repro.experiments import production_scale, run_experiment
+from repro.routing import PartitionMap, PartitionMapStore, QueryRouter
 from repro.sim.random import RandomStreams
-from repro.storage import CompactPartitionStore, PartitionStore, Record
+from repro.storage import PartitionStore, Record
 from repro.workload.dataset import (
     choose_distributed_type_ids,
     initial_placement,
@@ -73,8 +63,12 @@ NODE_COUNTS = tuple(
 ROUTE_CALLS = 200_000
 PUBLISH_BATCH = 64
 PINNED_DEPTH = 10
-#: Tuples per store in the tracemalloc bytes-per-tuple comparison.
+#: Tuples in the tracemalloc bytes-per-tuple / bytes-per-key pass.
 MEMCMP_TUPLES = 200_000
+#: Heap-byte ceilings: the store's key → slot dict dominates a tuple
+#: (~146 B measured); a mapped key is one 4-byte cell.
+MAX_BYTES_PER_TUPLE = 160
+MAX_MAP_BYTES_PER_KEY = 8
 
 #: End-to-end simulation section (see module docstring).
 E2E_NODES = int(os.environ.get("REPRO_SCALE_E2E_NODES", 100))
@@ -90,35 +84,15 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-class _StoreRack:
-    """Minimal stand-in for the cluster's store-per-partition layout.
-
-    The bench loads the dataset without the full node machinery (locks,
-    work servers, WAL) so the recorded memory is the storage layer's,
-    not the simulation scaffolding's.
-    """
-
-    def __init__(self, node_count, store_factory):
-        self.stores = [store_factory(pid) for pid in range(node_count)]
-
-    def load(self, pmap, rng) -> int:
-        loaded = 0
-        stores = self.stores
-        for key in pmap.keys():
-            for pid in pmap.replicas_of(key):
-                stores[pid].insert(
-                    Record(key=key, value=rng.randrange(1_000_000))
-                )
-                loaded += 1
-        return loaded
-
-
 def _build_dataset(node_count: int, tuple_count: int):
-    """Assemble the scale preset's dataset layer; returns (store, rack, s)."""
+    """Assemble the scale preset's dataset layer; returns (map store,
+    per-partition tuple stores, seconds).
+
+    The stores are loaded without the node machinery (locks, work
+    servers, WAL) so the recorded memory is the storage layer's, not
+    the simulation scaffolding's.
+    """
     config = production_scale(node_count=node_count, tuple_count=tuple_count)
-    assert uses_compact_storage(config)
-    store_factory = resolve_store_factory(config)
-    assert store_factory is CompactPartitionStore
     streams = RandomStreams(config.seed)
     started = time.perf_counter()
     partitions = list(range(node_count))
@@ -131,18 +105,18 @@ def _build_dataset(node_count: int, tuple_count: int):
         iter_profile_types(config.workload),
         partitions,
         distributed,
-        pmap=make_partition_map(config),
+        pmap=PartitionMap(tuple_count),
     )
-    assert isinstance(pmap, DensePartitionMap)
     place_unprofiled_keys(pmap, tuple_count, partitions)
-    rack = _StoreRack(node_count, store_factory)
-    loaded = rack.load(pmap, streams.stream("values"))
+    stores = [PartitionStore(pid) for pid in range(node_count)]
+    rng = streams.stream("values")
+    for key in pmap.keys():
+        for pid in pmap.replicas_of(key):
+            stores[pid].insert(Record(key=key, value=rng.randrange(1_000_000)))
     elapsed = time.perf_counter() - started
-    assert loaded == tuple_count
     assert len(pmap) == tuple_count
-    assert sum(len(s) for s in rack.stores) == tuple_count
-    map_store = PartitionMapStore(pmap)
-    return map_store, rack, elapsed
+    assert sum(len(s) for s in stores) == tuple_count
+    return PartitionMapStore(pmap), stores, elapsed
 
 
 def _time_route_reads(store: PartitionMapStore, n: int) -> float:
@@ -205,12 +179,12 @@ def _time_publish(store: PartitionMapStore, partitions: int, rounds: int = 20):
     return sum(latencies) / len(latencies)
 
 
-def _bytes_per_tuple(store_factory, n: int) -> float:
-    """Heap bytes per resident tuple for one store implementation."""
+def _bytes_per_tuple(n: int) -> float:
+    """Heap bytes per resident tuple."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        store = store_factory(0)
+        store = PartitionStore(0)
         for key in range(n):
             store.insert(Record(key=key, value=key * 31))
         after, _ = tracemalloc.get_traced_memory()
@@ -220,12 +194,12 @@ def _bytes_per_tuple(store_factory, n: int) -> float:
         tracemalloc.stop()
 
 
-def _map_bytes_per_key(map_factory, n: int) -> float:
-    """Heap bytes per mapped key for one partition-map implementation."""
+def _map_bytes_per_key(n: int) -> float:
+    """Heap bytes per mapped key of a map whose capacity covers them."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        pmap = map_factory()
+        pmap = PartitionMap(n)
         for key in range(n):
             pmap.assign(key, key % 8)
         after, _ = tracemalloc.get_traced_memory()
@@ -301,15 +275,15 @@ def test_perf_scale():
     peak_rss = {}
     scale_store = None
     for node_count in NODE_COUNTS:
-        map_store, rack, elapsed = _build_dataset(node_count, TUPLE_COUNT)
+        map_store, stores, elapsed = _build_dataset(node_count, TUPLE_COUNT)
         build_s[str(node_count)] = round(elapsed, 3)
         peak_rss[str(node_count)] = _peak_rss_kb()
         scale_store = map_store
-        largest = max(len(s) for s in rack.stores)
-        smallest = min(len(s) for s in rack.stores)
+        largest = max(len(s) for s in stores)
+        smallest = min(len(s) for s in stores)
         # Round-robin cold placement keeps stores balanced.
         assert largest - smallest <= TUPLE_COUNT // node_count
-        del rack
+        del stores
     payload["build_wall_clock_s_by_nodes"] = build_s
     payload["peak_rss_by_nodes"] = peak_rss
 
@@ -331,33 +305,13 @@ def test_perf_scale():
     ), payload
     del scale_store
 
-    # Memory: compact vs standard stack, traced heap bytes per tuple.
-    # A tuple costs one store entry plus one partition-map entry, so the
-    # honest comparison is the sum.  The store saves the per-tuple
-    # Record graph; the dense map turns ~150 dict-and-list bytes per key
-    # into one 4-byte array cell — together the lean stack must stay
-    # under 0.6x the standard stack's bytes per tuple.
-    compact = _bytes_per_tuple(CompactPartitionStore, MEMCMP_TUPLES)
-    standard = _bytes_per_tuple(PartitionStore, MEMCMP_TUPLES)
-    dense_map = _map_bytes_per_key(
-        lambda: DensePartitionMap(MEMCMP_TUPLES), MEMCMP_TUPLES
-    )
-    standard_map = _map_bytes_per_key(PartitionMap, MEMCMP_TUPLES)
-    payload["compact_bytes_per_tuple"] = round(compact, 2)
-    payload["standard_bytes_per_tuple"] = round(standard, 2)
-    payload["dense_map_bytes_per_key"] = round(dense_map, 2)
-    payload["standard_map_bytes_per_key"] = round(standard_map, 2)
-    stack_ratio = (compact + dense_map) / (standard + standard_map)
-    payload["stack_bytes_ratio"] = round(stack_ratio, 4)
-    assert compact < standard, (
-        f"compact store lost its memory edge: {compact:.1f} vs "
-        f"{standard:.1f} bytes/tuple"
-    )
-    assert dense_map < 0.25 * standard_map, (
-        f"dense map lost its memory edge: {dense_map:.1f} vs "
-        f"{standard_map:.1f} bytes/key"
-    )
-    assert stack_ratio < 0.6, payload
+    # Memory: traced heap bytes per stored tuple and per mapped key.
+    bytes_per_tuple = _bytes_per_tuple(MEMCMP_TUPLES)
+    map_bytes_per_key = _map_bytes_per_key(MEMCMP_TUPLES)
+    payload["bytes_per_tuple"] = round(bytes_per_tuple, 2)
+    payload["map_bytes_per_key"] = round(map_bytes_per_key, 2)
+    assert bytes_per_tuple <= MAX_BYTES_PER_TUPLE, payload
+    assert map_bytes_per_key <= MAX_MAP_BYTES_PER_KEY, payload
 
     # End-to-end simulation: arrivals + schedulers at 100+ nodes.
     payload.update(_run_e2e_simulation())

@@ -28,7 +28,7 @@ from ..core import (
 #: Modules whose classes are allocated per-event / per-record.
 HOT_PATH_MODULES = (
     "src/repro/sim/events.py",
-    "src/repro/storage/compact_store.py",
+    "src/repro/storage/partition_store.py",
     "src/repro/storage/record.py",
     "src/repro/storage/wal.py",
 )

@@ -9,9 +9,8 @@ from ..errors import ConfigError, MembershipError
 from ..locking.deadlock import DeadlockDetector
 from ..sim.network import Network
 from ..sim.random import RandomStreams
-from ..storage.partition_store import PartitionStore
 from ..types import NodeId, PartitionId
-from .node import DataNode, NodeState, StoreFactory
+from .node import DataNode, NodeState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -62,12 +61,10 @@ class Cluster:
         env: "Environment",
         config: ClusterConfig,
         streams: Optional[RandomStreams] = None,
-        store_factory: StoreFactory = PartitionStore,
     ) -> None:
         self.env = env
         self.config = config
         self._streams = streams
-        self._store_factory = store_factory
         #: Called with each node added after construction (scale-out);
         #: the experiment runner uses this to wire fault injection and
         #: store loading for late joiners.
@@ -86,7 +83,6 @@ class Cluster:
                 capacity_units_per_s=config.capacity_units_per_s,
                 max_connections=config.max_connections,
                 detector=self.detector,
-                store_factory=store_factory,
             )
             for i in range(config.node_count)
         ]
@@ -175,7 +171,6 @@ class Cluster:
             capacity_units_per_s=config.capacity_units_per_s,
             max_connections=config.max_connections,
             detector=self.detector,
-            store_factory=self._store_factory,
         )
         node.state = NodeState.JOINING
         self.nodes.append(node)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import NodeDownError
 from ..locking.deadlock import DeadlockDetector
@@ -35,17 +35,11 @@ from ..locking.lock_manager import LockManager
 from ..sim.events import Event, Interrupt
 from ..sim.resources import Resource, WorkServer
 from ..storage.partition_store import PartitionStore
-from ..storage.wal import TupleStore
 from ..types import NodeId, PartitionId
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
     from ..storage.wal import WriteAheadLog
-
-#: Builds the node's tuple store for its partition id.  The default is
-#: the standard per-record store; large presets inject the memory-lean
-#: :class:`~repro.storage.compact_store.CompactPartitionStore`.
-StoreFactory = Callable[[PartitionId], TupleStore]
 
 
 class NodeState(enum.Enum):
@@ -81,13 +75,11 @@ class DataNode:
         capacity_units_per_s: float,
         max_connections: int = 100,
         detector: Optional[DeadlockDetector] = None,
-        store_factory: StoreFactory = PartitionStore,
     ) -> None:
         self.env = env
         self.node_id = node_id
         self.partition_id = partition_id
-        self.store_factory = store_factory
-        self.store: TupleStore = store_factory(partition_id)
+        self.store = PartitionStore(partition_id)
         self.locks = LockManager(env, detector, name=f"node{node_id}")
         self.server = WorkServer(env, rate=capacity_units_per_s, concurrency=1)
         self.connections = Resource(env, max_connections)
@@ -160,12 +152,12 @@ class DataNode:
         )
         self.server.fail_all(lambda: NodeDownError(self.node_id))
         self.connections.fail_waiting(lambda: NodeDownError(self.node_id))
-        self.store = self.store_factory(self.partition_id)
+        self.store = PartitionStore(self.partition_id)
         self.locks = LockManager(
             self.env, self.locks.detector, name=f"node{self.node_id}"
         )
 
-    def restart(self) -> TupleStore:
+    def restart(self) -> PartitionStore:
         """Recovery driver: replay the WAL, compact it, rejoin.
 
         The store is rebuilt from the log (committed effects only);
@@ -180,7 +172,7 @@ class DataNode:
         if self.wal is not None:
             from ..storage.wal import recover
 
-            self.store = recover(self.wal, self.store_factory)
+            self.store = recover(self.wal)
             if not self.wal.open_transactions:
                 self.wal.log_checkpoint(self.store)
                 self.wal.truncate_before_checkpoint()

@@ -23,7 +23,7 @@ Four scale presets are provided:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Optional
 
 from ..cluster.cluster import ClusterConfig
@@ -96,18 +96,8 @@ class RuntimeConfig:
     #: Bound on the partition-map store's epoch delta log; epochs older
     #: than the window (and unpinned) become unreadable.
     epoch_log_limit: int = 1024
-    #: Which per-partition tuple-store implementation the nodes run:
-    #: ``"standard"`` (one Record object per tuple), ``"compact"`` (flat
-    #: array columns, memory-lean), or ``"auto"`` — compact once the
-    #: dataset reaches the cluster-scale threshold, standard below it.
-    storage_tier: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.storage_tier not in ("auto", "standard", "compact"):
-            raise ConfigError(
-                f"unknown storage_tier {self.storage_tier!r}; "
-                "expected 'auto', 'standard', or 'compact'"
-            )
         if self.interval_s <= 0:
             raise ConfigError("interval must be positive")
         if self.warmup_intervals < 0 or self.measure_intervals < 1:
@@ -216,28 +206,40 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
     return asdict(config)
 
 
+def _build(cls: Any, values: dict[str, Any], where: str) -> Any:
+    """``cls(**values)``, naming any field ``cls`` does not have (a
+    document saved before a field was retired still carries it)."""
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(
+            f"unknown {where} config field(s): {', '.join(unknown)}"
+        )
+    return cls(**values)
+
+
+def _schedule_from_dict(
+    name: str, value: Optional[dict[str, Any]], schedule: Any, event: Any
+) -> Any:
+    if value is None:
+        return None
+    events = tuple(
+        _build(event, item, f"{name}.events") for item in value["events"]
+    )
+    return _build(schedule, {**value, "events": events}, name)
+
+
 def _field_from_dict(name: str, value: Any) -> Any:
     if name == "faults":
-        if value is None:
-            return None
-        rest = {key: val for key, val in value.items() if key != "events"}
-        return FaultScheduleConfig(
-            events=tuple(FaultEvent(**event) for event in value["events"]),
-            **rest,
+        return _schedule_from_dict(
+            name, value, FaultScheduleConfig, FaultEvent
         )
     if name == "elasticity":
-        if value is None:
-            return None
-        rest = {key: val for key, val in value.items() if key != "events"}
-        return ElasticityScheduleConfig(
-            events=tuple(
-                ElasticityEvent(**event) for event in value["events"]
-            ),
-            **rest,
+        return _schedule_from_dict(
+            name, value, ElasticityScheduleConfig, ElasticityEvent
         )
     nested = _NESTED_CONFIG_TYPES.get(name)
     if nested is not None:
-        return nested(**value)
+        return _build(nested, value, name)
     return value
 
 
@@ -247,8 +249,10 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     Tolerates the JSON round trip (tuples come back as lists) and raises
     the usual :class:`~repro.errors.ConfigError` validation on bad values.
     """
-    return ExperimentConfig(
-        **{name: _field_from_dict(name, value) for name, value in data.items()}
+    return _build(
+        ExperimentConfig,
+        {name: _field_from_dict(name, value) for name, value in data.items()},
+        "experiment",
     )
 
 
@@ -368,8 +372,7 @@ def production_scale(
     types-per-tuple ratios (30,000/500,000 uniform, 23,457/500,000
     Zipf), per-node capacity stays at the medium preset's ~40 units/s so
     offered-load calibration is unchanged, and the admission window
-    grows with the cluster.  ``storage_tier="auto"`` resolves to the
-    memory-lean compact store and dense partition map at these sizes.
+    grows with the cluster.
     """
     if node_count < 1:
         raise ConfigError(f"need at least one node, got {node_count}")
@@ -392,7 +395,6 @@ def production_scale(
         measure_intervals=measure_intervals,
         warmup_intervals=warmup_intervals,
         max_concurrent=max(2_000, 20 * node_count),
-        storage_tier="auto",
     )
     return ExperimentConfig(
         name=(

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from ..cluster.cluster import Cluster
-from ..cluster.node import StoreFactory
 from ..core.repartitioner import Repartitioner
 from ..core.schedulers import (
     AfterAllScheduler,
@@ -32,15 +31,12 @@ from ..metrics.collectors import IntervalRecord, MetricsCollector
 from ..metrics.report import summarise
 from ..partitioning.cost_model import CostModel
 from ..partitioning.optimizer import RepartitionOptimizer
-from ..routing.dense_map import DensePartitionMap
 from ..routing.epoch import PartitionMapStore
 from ..routing.partition_map import PartitionMap
 from ..routing.router import QueryRouter
 from ..sim.environment import Environment
 from ..sim.events import Event
 from ..sim.random import RandomStreams
-from ..storage.compact_store import CompactPartitionStore
-from ..storage.partition_store import PartitionStore
 from ..txn.executor import ExecutorConfig, TransactionExecutor
 from ..txn.manager import TransactionManager, TransactionManagerConfig
 from ..txn.two_phase_commit import TwoPhaseCommitCoordinator
@@ -60,43 +56,6 @@ from ..workload.generator import WorkloadSampler, build_profile
 from ..workload.profile import WorkloadProfile
 from .config import ExperimentConfig
 from .tables import setpoint_for
-
-
-#: ``storage_tier="auto"`` switches to the memory-lean storage stack
-#: (compact tuple stores + dense partition map) at this dataset size.
-#: Well above every figure preset (3k-500k tuples use the standard
-#: stack unchanged) and below the production tier's 1M-tuple floor.
-COMPACT_STORE_THRESHOLD = 200_000
-
-
-def uses_compact_storage(config: ExperimentConfig) -> bool:
-    """Whether this experiment runs the memory-lean storage stack."""
-    tier = config.runtime.storage_tier
-    if tier == "compact":
-        return True
-    if tier == "standard":
-        return False
-    return config.workload.tuple_count >= COMPACT_STORE_THRESHOLD
-
-
-def resolve_store_factory(config: ExperimentConfig) -> StoreFactory:
-    """Per-node tuple-store implementation for this experiment."""
-    return (
-        CompactPartitionStore
-        if uses_compact_storage(config)
-        else PartitionStore
-    )
-
-
-def make_partition_map(config: ExperimentConfig) -> PartitionMap:
-    """Empty partition map of the tier-appropriate implementation.
-
-    The generated key space is exactly ``range(tuple_count)``, so the
-    dense array-backed map covers every key at the compact tier.
-    """
-    if uses_compact_storage(config):
-        return DensePartitionMap(config.workload.tuple_count)
-    return PartitionMap()
 
 
 @dataclass
@@ -191,10 +150,7 @@ def build_system(config: ExperimentConfig) -> System:
     """Assemble every component of one experiment (does not run it)."""
     env = Environment()
     streams = RandomStreams(config.seed)
-    cluster = Cluster(
-        env, config.cluster, streams,
-        store_factory=resolve_store_factory(config),
-    )
+    cluster = Cluster(env, config.cluster, streams)
 
     profile = build_profile(config.workload)
     distributed_ids = choose_distributed_types(
@@ -202,7 +158,8 @@ def build_system(config: ExperimentConfig) -> System:
     )
     pmap = initial_placement(
         profile, cluster.partition_ids, distributed_ids,
-        pmap=make_partition_map(config),
+        # The generated key space is exactly ``range(tuple_count)``.
+        pmap=PartitionMap(config.workload.tuple_count),
     )
     place_unprofiled_keys(
         pmap, config.workload.tuple_count, cluster.partition_ids

@@ -1,7 +1,6 @@
 """Query routing: the partition lookup table, epoch-versioned map store,
 query model, parser, and router."""
 
-from .dense_map import DensePartitionMap
 from .epoch import (
     EpochStage,
     EpochTransition,
@@ -17,7 +16,6 @@ from .query import Query
 from .router import QueryRouter
 
 __all__ = [
-    "DensePartitionMap",
     "EpochStage",
     "EpochTransition",
     "MapDelta",

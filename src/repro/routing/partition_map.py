@@ -5,21 +5,54 @@ and their resident nodes" and routes each query accordingly; this class
 is that mapping.  Replicas of a tuple always live on distinct partitions
 (a paper assumption), and the first replica in the tuple's list is the
 *primary* — the copy writes are routed to.
+
+Generated key spaces are the consecutive integers ``[0, tuple_count)``
+and the overwhelming majority of tuples have exactly one replica, so a
+map built with ``capacity=tuple_count`` keeps those placements in one
+flat ``array('i')`` column (4 bytes per key) indexed *by the key
+itself*.  Only what a cell cannot hold lives in a dict of replica
+lists (~150 bytes per key): dense keys with more or fewer than one
+replica *spill* there and collapse back when they return to one, and
+keys outside the dense range — every key when ``capacity`` is 0 —
+stay there wholesale.  Results, error messages and check order are the
+same for both representations.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, Optional, Sequence
 
 from ..errors import RoutingError
 from ..types import PartitionId, TupleKey
 
+#: Cell sentinel: the key is not mapped.
+_UNMAPPED = -1
+#: Cell sentinel: the key's replica list lives in ``_replicas``.
+_SPILLED = -2
+#: Largest partition id an ``array('i')`` cell holds.
+_MAX_PARTITION_ID = (1 << 31) - 1
+
 
 class PartitionMap:
-    """Mutable key → replica-partition-list mapping."""
+    """Mutable key → replica-partition-list mapping.
 
-    def __init__(self) -> None:
+    ``capacity`` fixes the dense key range ``[0, capacity)`` up front
+    (the runner knows its tuple count).  Partition ids must fit a cell
+    beside the sentinels — true of every id the cluster assigns.
+    """
+
+    def __init__(self, capacity: int = 0) -> None:
+        if capacity < 0:
+            raise RoutingError(
+                f"map capacity cannot be negative, got {capacity}"
+            )
+        self.capacity = capacity
+        #: Partition of each single-replica dense key, or a sentinel.
+        self._primary = array("i", [_UNMAPPED]) * capacity
+        #: Replica lists of spilled dense keys and all out-of-range keys.
         self._replicas: dict[TupleKey, list[PartitionId]] = {}
+        self._count = 0
         #: Per-partition replica counts, maintained incrementally so
         #: :meth:`partition_sizes` is O(partitions) instead of
         #: O(tuples × replicas) — the optimizer's balance check calls it
@@ -27,21 +60,37 @@ class PartitionMap:
         self._sizes: dict[PartitionId, int] = {}
         self.version = 0
 
+    def _is_dense(self, key: TupleKey) -> bool:
+        return isinstance(key, int) and 0 <= key < self.capacity
+
     def __len__(self) -> int:
-        return len(self._replicas)
+        return self._count
 
     def __contains__(self, key: TupleKey) -> bool:
+        if self._is_dense(key):
+            return self._primary[key] != _UNMAPPED
         return key in self._replicas
 
     def keys(self) -> Iterator[TupleKey]:
-        """Iterate over all mapped keys."""
-        return iter(self._replicas)
+        """Iterate mapped keys: the dense range ascending (the column
+        carries no insertion history), then the rest in insertion order."""
+        primary = self._primary
+        for key in range(self.capacity):
+            if primary[key] != _UNMAPPED:
+                yield key
+        for key in self._replicas:
+            if not self._is_dense(key):
+                yield key
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
     def replicas_of(self, key: TupleKey) -> tuple[PartitionId, ...]:
         """All partitions holding a replica of ``key`` (primary first)."""
+        if self._is_dense(key):
+            primary = self._primary[key]
+            if primary >= 0:
+                return (primary,)
         replicas = self._replicas.get(key)
         if replicas is None:
             raise RoutingError(f"tuple {key} is not mapped to any partition")
@@ -62,6 +111,14 @@ class PartitionMap:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
+    @staticmethod
+    def _check_partition(partition_id: PartitionId) -> None:
+        if not 0 <= partition_id <= _MAX_PARTITION_ID:
+            raise RoutingError(
+                f"partition id must be in [0, {_MAX_PARTITION_ID}], "
+                f"got {partition_id}"
+            )
+
     def _size_delta(self, partition_id: PartitionId, delta: int) -> None:
         n = self._sizes.get(partition_id, 0) + delta
         if n <= 0:
@@ -69,24 +126,45 @@ class PartitionMap:
         else:
             self._sizes[partition_id] = n
 
+    def _put(self, key: TupleKey, replicas: list[PartitionId]) -> None:
+        """Store ``key``'s replica list: in its cell when it is dense
+        and has one replica, in the dict (spilling) otherwise."""
+        if self._is_dense(key):
+            if len(replicas) == 1:
+                self._primary[key] = replicas[0]
+                self._replicas.pop(key, None)
+                return
+            self._primary[key] = _SPILLED
+        self._replicas[key] = replicas
+
     def assign(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Initial placement of ``key`` with a single replica."""
-        if key in self._replicas:
+        self._check_partition(partition_id)
+        # Spelled out rather than ``in`` + ``_put``: set-up calls this
+        # once per tuple.
+        dense = self._is_dense(key)
+        if (
+            self._primary[key] != _UNMAPPED if dense else key in self._replicas
+        ):
             raise RoutingError(f"tuple {key} is already mapped")
-        self._replicas[key] = [partition_id]
+        if dense:
+            self._primary[key] = partition_id
+        else:
+            self._replicas[key] = [partition_id]
+        self._count += 1
         self._size_delta(partition_id, +1)
         self.version += 1
 
     def add_replica(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Record a new replica of ``key`` on ``partition_id``."""
-        replicas = self._replicas.get(key)
-        if replicas is None:
-            raise RoutingError(f"tuple {key} is not mapped to any partition")
+        self._check_partition(partition_id)
+        replicas = list(self.replicas_of(key))
         if partition_id in replicas:
             raise RoutingError(
                 f"tuple {key} already has a replica on partition {partition_id}"
             )
         replicas.append(partition_id)
+        self._put(key, replicas)
         self._size_delta(partition_id, +1)
         self.version += 1
 
@@ -95,9 +173,7 @@ class PartitionMap:
 
         Removing the last replica is a consistency violation and raises.
         """
-        replicas = self._replicas.get(key)
-        if replicas is None:
-            raise RoutingError(f"tuple {key} is not mapped to any partition")
+        replicas = list(self.replicas_of(key))
         if partition_id not in replicas:
             raise RoutingError(
                 f"tuple {key} has no replica on partition {partition_id}"
@@ -107,6 +183,7 @@ class PartitionMap:
                 f"cannot remove the last replica of tuple {key}"
             )
         replicas.remove(partition_id)
+        self._put(key, replicas)
         self._size_delta(partition_id, -1)
         self.version += 1
 
@@ -114,9 +191,8 @@ class PartitionMap:
         self, key: TupleKey, source: PartitionId, destination: PartitionId
     ) -> None:
         """Atomically relocate the replica of ``key`` from source to dest."""
-        replicas = self._replicas.get(key)
-        if replicas is None:
-            raise RoutingError(f"tuple {key} is not mapped to any partition")
+        self._check_partition(destination)
+        replicas = list(self.replicas_of(key))
         if source not in replicas:
             raise RoutingError(
                 f"tuple {key} has no replica on partition {source}"
@@ -126,6 +202,7 @@ class PartitionMap:
                 f"tuple {key} already has a replica on partition {destination}"
             )
         replicas[replicas.index(source)] = destination
+        self._put(key, replicas)
         self._size_delta(source, -1)
         self._size_delta(destination, +1)
         self.version += 1
@@ -140,14 +217,19 @@ class PartitionMap:
         (the store validated them at stage time) but keeps the size
         counters and version in step.
         """
-        old = self._replicas.get(key)
-        if old is not None:
-            for pid in old:
+        for pid in replicas or ():
+            self._check_partition(pid)
+        if key in self:
+            for pid in self.replicas_of(key):
                 self._size_delta(pid, -1)
+            self._count -= 1
         if replicas is None:
+            if self._is_dense(key):
+                self._primary[key] = _UNMAPPED
             self._replicas.pop(key, None)
         else:
-            self._replicas[key] = list(replicas)
+            self._put(key, list(replicas))
+            self._count += 1
             for pid in replicas:
                 self._size_delta(pid, +1)
         self.version += 1
@@ -155,7 +237,10 @@ class PartitionMap:
     def copy(self) -> "PartitionMap":
         """Deep copy (used to freeze 'the original plan O' for costing)."""
         clone = PartitionMap()
+        clone.capacity = self.capacity
+        clone._primary = array("i", self._primary)
         clone._replicas = {k: list(v) for k, v in self._replicas.items()}
+        clone._count = self._count
         clone._sizes = dict(self._sizes)
         clone.version = self.version
         return clone

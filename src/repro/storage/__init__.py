@@ -1,20 +1,17 @@
 """In-memory storage substrate: records, partition stores, and the catalog."""
 
 from .catalog import Catalog, TableSchema
-from .compact_store import CompactPartitionStore, RecordView
-from .partition_store import PartitionStore
+from .partition_store import PartitionStore, RecordView
 from .record import DEFAULT_TUPLE_SIZE_BYTES, Record, intern_payload
-from .wal import TupleStore, WalRecord, WalRecordType, WriteAheadLog, recover
+from .wal import WalRecord, WalRecordType, WriteAheadLog, recover
 
 __all__ = [
     "Catalog",
-    "CompactPartitionStore",
     "DEFAULT_TUPLE_SIZE_BYTES",
     "PartitionStore",
     "Record",
     "RecordView",
     "TableSchema",
-    "TupleStore",
     "WalRecord",
     "WalRecordType",
     "WriteAheadLog",

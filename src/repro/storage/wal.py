@@ -22,16 +22,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional
 
 from ..errors import StorageError
 from ..types import TupleKey, TxnId
-from .compact_store import CompactPartitionStore
 from .partition_store import PartitionStore
 from .record import Record, intern_payload
-
-#: Any per-partition tuple store the WAL can snapshot and rebuild.
-TupleStore = Union[PartitionStore, CompactPartitionStore]
 
 
 class WalRecordType(enum.Enum):
@@ -148,7 +144,7 @@ class WriteAheadLog:
         self._open_txns.discard(txn_id)
         return self._append(WalRecordType.ABORT, txn_id)
 
-    def log_checkpoint(self, store: TupleStore) -> WalRecord:
+    def log_checkpoint(self, store: PartitionStore) -> WalRecord:
         """Snapshot the store so recovery can skip older records.
 
         Only legal while no transaction is open (a *sharp* checkpoint):
@@ -167,12 +163,10 @@ class WriteAheadLog:
                 f"{sorted(self._open_txns)}: the store snapshot would "
                 f"capture their uncommitted writes"
             )
-        snapshot = {}
-        for key in store.keys():
-            record = store.get(key)
-            snapshot[key] = intern_payload(
-                record.value, record.version, record.size_bytes
-            )
+        snapshot = {
+            key: intern_payload(value, version, size_bytes)
+            for key, value, version, size_bytes in store.rows()
+        }
         return self._append(WalRecordType.CHECKPOINT, payload=snapshot)
 
     def truncate_before_checkpoint(self) -> int:
@@ -191,10 +185,7 @@ class WriteAheadLog:
             )
 
 
-def recover(
-    log: WriteAheadLog,
-    store_factory: Callable[[int], TupleStore] = PartitionStore,
-) -> TupleStore:
+def recover(log: WriteAheadLog) -> PartitionStore:
     """Rebuild the partition store from the log (redo-only recovery).
 
     1. Scan for the latest CHECKPOINT and start from its snapshot.
@@ -202,14 +193,10 @@ def recover(
     3. Second pass: apply WRITE/INSERT/DELETE records of committed
        transactions in LSN order; everything else is discarded (an
        uncommitted transaction's effects never become visible).
-
-    ``store_factory`` selects the store implementation the node runs
-    (standard ``PartitionStore`` or the memory-lean compact store), so a
-    recovering node rejoins with the same storage tier it crashed with.
     """
     records = list(log.records())
     start = 0
-    store = store_factory(log.partition_id)
+    store = PartitionStore(log.partition_id)
     for index in range(len(records) - 1, -1, -1):
         if records[index].type is WalRecordType.CHECKPOINT:
             start = index + 1
@@ -229,9 +216,8 @@ def recover(
             continue
         if record.type is WalRecordType.WRITE:
             key, value = record.payload
-            existing = store.peek(key)
-            if existing is not None:
-                existing.write(value)
+            if key in store:
+                store.write(key, value)
             else:
                 # Value logging carries the whole new value, so a write
                 # to a tuple that predates the log (no checkpoint taken

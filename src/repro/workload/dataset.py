@@ -87,9 +87,8 @@ def initial_placement(
 
     ``profile`` may be a :class:`WorkloadProfile` or any iterable of
     types (e.g. the streaming generator the cluster-scale presets use).
-    ``pmap`` selects the map implementation to fill — default standard
-    :class:`PartitionMap`; the scale tier passes an empty
-    :class:`~repro.routing.dense_map.DensePartitionMap`.
+    ``pmap`` is the empty map to fill — the runner passes one whose
+    dense ``capacity`` covers the generated key space.
     """
     if not partitions:
         raise ConfigError("need at least one partition")

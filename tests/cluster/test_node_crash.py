@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import DataNode
 from repro.errors import NodeDownError
 from repro.locking import LockMode
-from repro.storage import CompactPartitionStore, Record
+from repro.storage import Record
 
 
 @pytest.fixture
@@ -54,6 +54,18 @@ class TestCrash:
         node.restart()
         assert 5 in node.store
         assert 7 not in node.store
+
+    def test_crash_recovers_checkpoint_plus_committed_tail(self, node):
+        committed_insert(node, 1, 5, 50)
+        node.wal.log_checkpoint(node.store)
+        committed_insert(node, 2, 6, 60)
+        node.wal.log_begin(3)
+        node.store.insert(Record(key=7, value=70))
+        node.wal.log_insert(3, Record(key=7, value=70))
+        node.crash()  # before txn 3 commits
+        assert len(node.store) == 0
+        store = node.restart()
+        assert sorted(store.rows()) == [(5, 50, 0, 8), (6, 60, 0, 8)]
 
     def test_double_crash_rejected(self, node):
         node.crash()
@@ -217,49 +229,3 @@ class TestCapacityNoiseAcrossCrash:
             node.start_capacity_noise(
                 random.Random(0), interval_s=1.0, relative_sigma=0.5
             )
-
-
-class TestCompactStoreFactory:
-    """Crash/restart must honour the injected store implementation."""
-
-    @pytest.fixture
-    def compact_node(self, env):
-        node = DataNode(env, node_id=0, partition_id=0,
-                        capacity_units_per_s=10.0,
-                        store_factory=CompactPartitionStore)
-        node.enable_wal()
-        return node
-
-    def test_node_builds_compact_store(self, compact_node):
-        assert isinstance(compact_node.store, CompactPartitionStore)
-
-    def test_crash_recovers_into_compact_store(self, compact_node):
-        committed_insert(compact_node, 1, 5, 50)
-        compact_node.wal.log_checkpoint(compact_node.store)
-        committed_insert(compact_node, 2, 6, 60)
-        compact_node.wal.log_begin(3)
-        compact_node.store.insert(Record(key=7, value=70))
-        compact_node.wal.log_insert(3, Record(key=7, value=70))
-        compact_node.crash()  # before txn 3 commits
-        assert isinstance(compact_node.store, CompactPartitionStore)
-        assert len(compact_node.store) == 0
-        store = compact_node.restart()
-        assert isinstance(store, CompactPartitionStore)
-        assert store.read(5) == 50
-        assert store.read(6) == 60
-        assert 7 not in store
-
-    def test_cluster_propagates_store_factory(self, env):
-        from repro.cluster import Cluster, ClusterConfig
-        from repro.sim.random import RandomStreams
-
-        cluster = Cluster(
-            env,
-            ClusterConfig(node_count=3, capacity_units_per_s=10.0),
-            RandomStreams(0),
-            store_factory=CompactPartitionStore,
-        )
-        assert all(
-            isinstance(n.store, CompactPartitionStore)
-            for n in cluster.nodes
-        )

@@ -115,11 +115,8 @@ def _scale_payload(**overrides):
         "route_read_per_s": 1_500_000,
         "pinned_epoch_read_per_s": 1_300_000,
         "epoch_publish_ms": 0.3,
-        "compact_bytes_per_tuple": 146.2,
-        "standard_bytes_per_tuple": 180.4,
-        "dense_map_bytes_per_key": 4.0,
-        "standard_map_bytes_per_key": 148.4,
-        "stack_bytes_ratio": 0.46,
+        "bytes_per_tuple": 146.2,
+        "map_bytes_per_key": 4.0,
         "e2e_node_count": 100,
         "e2e_tuple_count": 500_000,
         "e2e_scheduler": "Hybrid",

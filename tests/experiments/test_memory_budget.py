@@ -1,16 +1,18 @@
-"""Peak-memory budgets for the cluster-scale storage stack.
+"""Peak-memory budgets for the storage stack.
 
 Two regression gates:
 
 * a **process-level budget** for the 1M-tuple ``production_scale``
   dataset build, measured by ``ru_maxrss`` in a fresh interpreter so
-  the number is the stack's, not the test runner's.  The compact stack
-  builds this in ~170 MB; the standard store + dict-backed map needs
-  roughly twice that, so the 250 MB ceiling catches any slide back;
-* a **tracemalloc stack-ratio** check at 100k tuples asserting the
-  lean stack (compact store + dense map) stays under 0.6x the standard
-  stack's heap bytes — the same invariant ``BENCH_scale.json`` records
-  at full scale, kept in tier-1 at a size that runs in seconds.
+  the number is the stack's, not the test runner's.  The column store
+  and dense map build this in ~170 MB; an object per tuple and a dict
+  entry per key needed roughly twice that, so the 250 MB ceiling
+  catches any slide back;
+* a **tracemalloc ceiling** at 100k tuples: one stored tuple plus its
+  map entry stay under ``BENCH_scale.json``'s full-scale bounds (160
+  B/tuple + 8 B/key) — once a ratio against the dict-of-Record stack
+  (328.8 B), hence the test's name — in tier-1 at a size that runs in
+  seconds.
 """
 
 import subprocess
@@ -18,19 +20,18 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from repro.routing import DensePartitionMap, PartitionMap
-from repro.storage import CompactPartitionStore, PartitionStore, Record
+from repro.routing import PartitionMap
+from repro.storage import PartitionStore, Record
 
 #: KB ceiling for building the 1M-tuple preset in a fresh process.
 PEAK_RSS_BUDGET_KB = 250_000
 
 _BUILD_SNIPPET = """
 import resource
-from repro.experiments import (
-    make_partition_map, production_scale, resolve_store_factory,
-)
+from repro.experiments import production_scale
+from repro.routing import PartitionMap
 from repro.sim.random import RandomStreams
-from repro.storage import Record
+from repro.storage import PartitionStore, Record
 from repro.workload.dataset import (
     choose_distributed_type_ids, initial_placement, place_unprofiled_keys,
 )
@@ -44,11 +45,10 @@ distributed = choose_distributed_type_ids(
 )
 pmap = initial_placement(
     iter_profile_types(config.workload), partitions, distributed,
-    pmap=make_partition_map(config),
+    pmap=PartitionMap(config.workload.tuple_count),
 )
 place_unprofiled_keys(pmap, config.workload.tuple_count, partitions)
-factory = resolve_store_factory(config)
-stores = [factory(p) for p in partitions]
+stores = [PartitionStore(p) for p in partitions]
 rng = streams.stream("values")
 for key in pmap.keys():
     for pid in pmap.replicas_of(key):
@@ -76,30 +76,21 @@ def test_million_tuple_build_stays_under_rss_budget():
     )
 
 
-def _traced_stack_bytes(store_factory, map_factory, n):
+def test_lean_stack_under_sixty_percent_of_standard():
+    n = 100_000
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        pmap = map_factory()
-        store = store_factory(0)
+        pmap = PartitionMap(n)
+        store = PartitionStore(0)
         for key in range(n):
             pmap.assign(key, key % 8)
             store.insert(Record(key=key, value=key))
         after, _ = tracemalloc.get_traced_memory()
-        assert len(store) == len(pmap) == n
-        return after - before
     finally:
         tracemalloc.stop()
-
-
-def test_lean_stack_under_sixty_percent_of_standard():
-    n = 100_000
-    lean = _traced_stack_bytes(
-        CompactPartitionStore, lambda: DensePartitionMap(n), n
-    )
-    standard = _traced_stack_bytes(PartitionStore, PartitionMap, n)
-    ratio = lean / standard
-    assert ratio < 0.6, (
-        f"lean stack is {ratio:.2f}x the standard stack "
-        f"({lean} vs {standard} bytes for {n} tuples)"
+    assert len(store) == len(pmap) == n
+    per_tuple = (after - before) / n
+    assert per_tuple <= 160 + 8, (
+        f"a stored, mapped tuple costs {per_tuple:.1f} heap bytes"
     )

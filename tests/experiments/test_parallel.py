@@ -8,6 +8,9 @@ must reproduce the exact result object.
 import dataclasses
 import json
 
+import pytest
+
+from repro.errors import ConfigError
 from repro.experiments.config import (
     config_delta,
     config_from_dict,
@@ -142,7 +145,9 @@ class TestResultCache:
 
         Pre-v4 files are keyed by the old schema version in both the
         hashed payload and the filename prefix, so even a structurally
-        readable old entry can never be looked up by a v4 cache.
+        readable old entry can never be looked up by a v4 cache.  A v4
+        entry written while ``RuntimeConfig`` still had ``storage_tier``
+        misses too: the retired field was part of the hashed document.
         """
         import json
 
@@ -155,12 +160,17 @@ class TestResultCache:
         import dataclasses as dc
         import hashlib
 
-        old_payload = json.dumps(
-            {"schema": 3, "config": dc.asdict(config)},
-            sort_keys=True, separators=(",", ":"), default=repr,
-        )
-        old_key = hashlib.sha256(old_payload.encode("utf-8")).hexdigest()
-        old_path = tmp_path / f"v3-{old_key}.json"
+        with_retired_field = dc.asdict(config)
+        with_retired_field["runtime"]["storage_tier"] = "auto"
+        old_paths = []
+        for schema, hashed in ((3, dc.asdict(config)), (4, with_retired_field)):
+            old_payload = json.dumps(
+                {"schema": schema, "config": hashed},
+                sort_keys=True, separators=(",", ":"), default=repr,
+            )
+            old_key = hashlib.sha256(old_payload.encode("utf-8")).hexdigest()
+            old_paths.append(tmp_path / f"v{schema}-{old_key}.json")
+        old_path, retired_field_path = old_paths
         from repro.metrics.export import result_to_state_dict
 
         state = result_to_state_dict(result)
@@ -170,12 +180,14 @@ class TestResultCache:
                 "nodes_draining", "nodes_retired",
             ):
                 interval.pop(field_name)
+        retired_field_path.write_text(json.dumps(result_to_state_dict(result)))
         old_path.write_text(json.dumps(state))
 
-        assert cache.get(config) is None  # v3 entry must not be served
+        assert cache.get(config) is None  # neither entry may be served
         assert cache.misses == 1
         assert cache.path_for(config).name.startswith("v4-")
-        assert old_path.exists()  # old entries are ignored, not deleted
+        # old entries are ignored, not deleted
+        assert old_path.exists() and retired_field_path.exists()
 
     def test_repeat_get_served_from_memory(self, tmp_path):
         config = tiny(measure_intervals=3, warmup_intervals=1)
@@ -287,6 +299,10 @@ class TestConfigSerde:
         assert rebuilt == config
         assert isinstance(rebuilt.faults.events, tuple)
         assert config_key(rebuilt) == config_key(config)
+        document = config_to_dict(config)
+        document["faults"]["events"][0]["severity"] = 1
+        with pytest.raises(ConfigError, match=r"faults\.events.*severity"):
+            config_from_dict(document)
 
     def test_delta_contains_only_differing_fields(self):
         base = tiny(scheduler="Hybrid", measure_intervals=3, warmup_intervals=1)

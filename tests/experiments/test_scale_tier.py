@@ -1,34 +1,25 @@
-"""The cluster-scale tier: preset, storage resolution, streaming assembly.
+"""The cluster-scale tier: preset, map sizing, streaming assembly.
 
-The ``production_scale`` preset must keep the paper's ratios while the
-tier machinery (``storage_tier`` → store factory + partition map) and
-the streaming dataset path must be exact drop-ins: the streamed
-placement is compared key for key against the materialised-profile
-placement the figure presets use.
+The ``production_scale`` preset must keep the paper's ratios, every
+preset must get a map whose dense column covers its key space, and the
+streaming dataset path must be an exact drop-in: the streamed placement
+is compared key for key against the materialised-profile placement the
+figure presets use.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import (
-    COMPACT_STORE_THRESHOLD,
     bench_scale,
-    make_partition_map,
+    build_system,
     medium_scale,
     production_scale,
-    resolve_store_factory,
-    uses_compact_storage,
 )
-from repro.experiments.config import (
-    RuntimeConfig,
-    config_from_dict,
-    config_to_dict,
-)
-from repro.routing import DensePartitionMap, PartitionMap
-from repro.storage import CompactPartitionStore, PartitionStore
+from repro.experiments.config import config_from_dict, config_to_dict
+from repro.routing import PartitionMap
 from repro.workload.dataset import (
     choose_distributed_type_ids,
     choose_distributed_types,
@@ -70,42 +61,26 @@ class TestProductionPreset:
 
     def test_round_trips_through_dict(self):
         config = production_scale(node_count=250, tuple_count=1_500_000)
-        assert config.runtime.storage_tier == "auto"
-        rebuilt = config_from_dict(config_to_dict(config))
-        assert rebuilt == config
-        assert rebuilt.runtime.storage_tier == "auto"
+        document = config_to_dict(config)
+        assert config_from_dict(document) == config
+        # A document saved before a field was retired names it in a
+        # ConfigError, at any nesting level — not a bare TypeError.
+        document["runtime"]["storage_tier"] = "auto"
+        with pytest.raises(ConfigError, match="runtime.*storage_tier"):
+            config_from_dict(document)
+        with pytest.raises(ConfigError, match="experiment.*bogus, zzz"):
+            config_from_dict({**config_to_dict(config), "zzz": 1, "bogus": 2})
 
 
-class TestStorageTierResolution:
-    def test_storage_tier_validated(self):
-        with pytest.raises(ConfigError, match="storage_tier"):
-            RuntimeConfig(storage_tier="bogus")
-
-    def _with_tier(self, config, tier):
-        return replace(config, runtime=replace(config.runtime, storage_tier=tier))
-
-    def test_auto_follows_tuple_count(self):
-        assert uses_compact_storage(production_scale())
-        assert production_scale().workload.tuple_count >= COMPACT_STORE_THRESHOLD
-        assert not uses_compact_storage(bench_scale())
-        assert not uses_compact_storage(medium_scale())
-
-    def test_explicit_tiers_override_auto(self):
-        big_standard = self._with_tier(production_scale(), "standard")
-        small_compact = self._with_tier(bench_scale(), "compact")
-        assert not uses_compact_storage(big_standard)
-        assert uses_compact_storage(small_compact)
-
-    def test_store_factory_and_map_follow_tier(self):
-        compact = production_scale()
-        standard = bench_scale()
-        assert resolve_store_factory(compact) is CompactPartitionStore
-        assert resolve_store_factory(standard) is PartitionStore
-        dense = make_partition_map(compact)
-        assert isinstance(dense, DensePartitionMap)
-        assert dense.capacity == compact.workload.tuple_count
-        plain = make_partition_map(standard)
-        assert type(plain) is PartitionMap
+def test_every_preset_gets_a_map_sized_to_its_key_space():
+    for config in (
+        bench_scale(), medium_scale(),
+        production_scale(node_count=8, tuple_count=500_000),
+    ):
+        live_map = build_system(config).store.live_map
+        assert live_map.capacity == config.workload.tuple_count
+        assert len(live_map) == config.workload.tuple_count
+        assert not live_map._replicas  # single-replica, all in the column
 
 
 class TestStreamingAssembly:
@@ -142,7 +117,7 @@ class TestStreamingAssembly:
             iter_profile_types(self.CONFIG),
             self.PARTITIONS,
             distributed,
-            pmap=DensePartitionMap(self.CONFIG.tuple_count),
+            pmap=PartitionMap(self.CONFIG.tuple_count),
         )
         place_unprofiled_keys(
             streamed, self.CONFIG.tuple_count, self.PARTITIONS
@@ -152,7 +127,7 @@ class TestStreamingAssembly:
             assert streamed.replicas_of(key) == reference.replicas_of(key)
 
     def test_initial_placement_requires_empty_map(self):
-        used = DensePartitionMap(16)
+        used = PartitionMap(16)
         used.assign(0, 0)
         with pytest.raises(ConfigError, match="empty partition map"):
             initial_placement(
