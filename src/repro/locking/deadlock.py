@@ -95,30 +95,33 @@ class DeadlockDetector:
     def find_cycle(self, start: TxnId) -> Optional[tuple[TxnId, ...]]:
         """Find a cycle reachable from ``start``, if any.
 
-        Iterative DFS over the wait-for graph; returns the cycle as a
-        tuple of transaction ids, or ``None``.
+        Iterative DFS over the wait-for graph (a wait chain may be longer
+        than the interpreter's recursion limit); returns the cycle as a
+        tuple of transaction ids, or ``None``.  Successors are visited in
+        ascending transaction-id order, so the cycle — and the victim
+        chosen from it — is a pure function of (graph, ``start``), never
+        of the hash-table layout of the edge sets.
         """
-        path: list[TxnId] = []
-        on_path: set[TxnId] = set()
+        graph = self._waits_for
+        path = [start]
+        on_path = {start}
         visited: set[TxnId] = set()
-
-        def dfs(node: TxnId) -> Optional[tuple[TxnId, ...]]:
-            path.append(node)
-            on_path.add(node)
-            for successor in self._waits_for.get(node, ()):
+        stack = [iter(sorted(graph.get(start, ())))]
+        while stack:
+            for successor in stack[-1]:
                 if successor in on_path:
-                    idx = path.index(successor)
-                    return tuple(path[idx:])
+                    return tuple(path[path.index(successor):])
                 if successor not in visited:
-                    cycle = dfs(successor)
-                    if cycle is not None:
-                        return cycle
-            path.pop()
-            on_path.remove(node)
-            visited.add(node)
-            return None
-
-        return dfs(start)
+                    path.append(successor)
+                    on_path.add(successor)
+                    stack.append(iter(sorted(graph.get(successor, ()))))
+                    break
+            else:
+                stack.pop()
+                done = path.pop()
+                on_path.remove(done)
+                visited.add(done)
+        return None
 
     def check(self, start: TxnId) -> Optional[TxnId]:
         """Detect a cycle involving ``start``; return the chosen victim."""

@@ -78,6 +78,53 @@ class TestCycleDetection:
         detector.set_waits(1, [2])
         assert detector.check(1) is None
 
+    def test_successors_visited_in_ascending_id_order(self):
+        # 1 closes two cycles at once; the one through its smallest
+        # successor is the one reported, whatever order edges arrived in.
+        for blockers in ([5, 9], [9, 5]):
+            detector = DeadlockDetector()
+            detector.set_waits(1, blockers)
+            detector.set_waits(5, [1])
+            detector.set_waits(9, [1])
+            assert detector.find_cycle(1) == (1, 5)
+            assert detector.check(1) == 5
+
+    def test_cycle_and_victim_ignore_set_layout(self):
+        """Equal edges, different insertion/discard histories.
+
+        The second detector's edge sets are grown past several resizes
+        and emptied again (a set keeps its table on discard), so their
+        hash tables differ from the first's and a plain ``for successor
+        in set`` walks them in another order.
+        """
+        # 24, 16 and 8 collide modulo the smallest set table size (8),
+        # so a small set iterates them in insertion order: 24 first.
+        edges = {0: [24, 16, 8], 8: [0], 16: [0], 24: [0]}
+        plain = DeadlockDetector()
+        for waiter, blockers in edges.items():
+            plain.set_waits(waiter, blockers)
+        churned = DeadlockDetector()
+        for waiter, blockers in edges.items():
+            churned.set_waits(waiter, [*blockers, *range(1000, 1200)])
+        for txn in range(1000, 1200):
+            churned.remove_transaction(txn)
+        for waiter, blockers in edges.items():
+            assert churned.waits_of(waiter) == frozenset(blockers)
+        for start in edges:
+            assert churned.find_cycle(start) == plain.find_cycle(start)
+            assert churned.check(start) == plain.check(start)
+        assert plain.find_cycle(0) == (0, 8)
+
+    def test_chain_longer_than_the_recursion_limit(self):
+        detector = DeadlockDetector()
+        length = 5_000
+        for i in range(length):
+            detector.set_waits(i, [i + 1])
+        assert detector.find_cycle(0) is None
+        detector.set_waits(length, [0])
+        assert detector.find_cycle(0) == tuple(range(length + 1))
+        assert detector.check(0) == length
+
 
 class TestVictimPolicy:
     def test_youngest_is_max_id(self):
