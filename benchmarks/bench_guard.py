@@ -3,15 +3,17 @@
 Two subcommands, both used by the perf-smoke CI job and importable from
 the benchmark harness itself:
 
-``check-schema [PATH] [--kind engine|routing|generic]``
+``check-schema [PATH] [--kind engine|routing|scale|locking|generic]``
     Validate that the benchmark file carries every required field with
     the right type, exit 1 otherwise.  The schema *kind* is inferred
     from the filename (``BENCH_engine.json`` -> engine,
-    ``BENCH_routing.json`` -> routing, any other ``BENCH_*.json`` ->
-    generic) unless ``--kind`` overrides it.  Every kind requires the
-    provenance trio — ``recorded_at``, ``python``, ``cpu_count`` — so a
-    number can never be committed without the context needed to judge
-    whether it is comparable.
+    ``BENCH_routing.json`` -> routing, ``BENCH_locking.json`` ->
+    locking, any other ``BENCH_*.json`` -> generic) unless ``--kind``
+    overrides it.  Every kind requires the provenance trio —
+    ``recorded_at``, ``python``, ``cpu_count`` — so a number can never
+    be committed without the context needed to judge whether it is
+    comparable.  The locking kind also gates the file's
+    ``depth128_over_depth1`` ratio, which is machine-independent.
 
 ``compare BASELINE FRESH [--threshold 0.2]``
     Fail (exit 1) when a fresh run's kernel throughput regresses more
@@ -103,12 +105,31 @@ SCALE_REQUIRED_FIELDS: dict[str, tuple[type, ...]] = {
     "e2e_wall_clock_s": (int, float),
 }
 
+#: Required fields for ``BENCH_locking.json`` (hot-key queue drive).
+LOCKING_REQUIRED_FIELDS: dict[str, tuple[type, ...]] = {
+    **PROVENANCE_FIELDS,
+    "depths": (list,),
+    "depth1_ops_per_s": (int, float),
+    "depth16_ops_per_s": (int, float),
+    "depth128_ops_per_s": (int, float),
+    "depth128_over_depth1": (int, float),
+    # The parent commit's reading of the same four numbers.
+    "before": (dict, type(None)),
+}
+
+#: Ceiling on the cost of a lock operation at queue depth 128 relative
+#: to depth 1.  A ratio of two rates from one process, so it holds on
+#: any machine: 180-390 when every grant recomputed the whole queue's
+#: wait edges, about 16 with edges added once at enqueue.
+LOCKING_MAX_DEPTH128_OVER_DEPTH1 = 60
+
 #: Field sets by schema kind; ``generic`` accepts any metrics but still
 #: insists on provenance.
 SCHEMAS: dict[str, dict[str, tuple[type, ...]]] = {
     "engine": REQUIRED_FIELDS,
     "routing": ROUTING_REQUIRED_FIELDS,
     "scale": SCALE_REQUIRED_FIELDS,
+    "locking": LOCKING_REQUIRED_FIELDS,
     "generic": PROVENANCE_FIELDS,
 }
 
@@ -159,6 +180,14 @@ def validate_schema(payload: Any, kind: str = "engine") -> list[str]:
             problems.append(
                 "parallel_speedup must be null when cpu_count < 2 "
                 "(a single-core 'speedup' is timesharing noise)"
+            )
+    if not problems and kind == "locking":
+        ratio = payload["depth128_over_depth1"]
+        if ratio > LOCKING_MAX_DEPTH128_OVER_DEPTH1:
+            problems.append(
+                f"depth128_over_depth1 is {ratio}, above the gate of "
+                f"{LOCKING_MAX_DEPTH128_OVER_DEPTH1}: a lock operation's "
+                "cost grows with the queue again"
             )
     if not problems and kind == "scale":
         # The per-node-count series must cover exactly the node counts

@@ -27,6 +27,8 @@ from ..core import (
 #: the experiment seed.
 SIM_SCOPE = (
     "src/repro/sim/",
+    "src/repro/locking/",
+    "src/repro/core/session.py",
     "src/repro/txn/",
     "src/repro/routing/",
     "src/repro/partitioning/",

@@ -17,7 +17,7 @@ from typing import Optional
 
 from ...metrics.collectors import IntervalRecord
 from ...txn.transaction import Transaction
-from ..session import RepartitionSession
+from ..session import RepartitionSession, RepState
 from .base import Scheduler
 from .feedback import FeedbackConfig, FeedbackScheduler
 from .piggyback import PiggybackConfig, PiggybackScheduler
@@ -76,11 +76,11 @@ class HybridScheduler(Scheduler):
                 # A released repartition transaction must rejoin the LOW
                 # baseline queue, or the feedback module can never
                 # promote it again.
-                released = next(
-                    (t for t in session.rep_txns if t.txn_id == rep_id),
-                    None,
-                )
-                if released is not None and released in session.pending():
+                released = session.rep_txn(rep_id)
+                if (
+                    released is not None
+                    and session.state_of(rep_id) is RepState.PENDING
+                ):
                     session.submit(released, released.priority)
             return
         super().on_finished(txn, success)

@@ -64,9 +64,14 @@ class RepartitionSession:
             )
             for spec in specs
         ]
-        self._states: dict[TxnId, RepState] = {
-            txn.txn_id: RepState.PENDING for txn in self.rep_txns
+        self._by_id: dict[TxnId, Transaction] = {
+            txn.txn_id: txn for txn in self.rep_txns
         }
+        self._states: dict[TxnId, RepState] = dict.fromkeys(
+            self._by_id, RepState.PENDING
+        )
+        #: Transactions not yet DONE (kept in step by extend/complete).
+        self._unfinished = len(self.rep_txns)
         #: TRep — benefiting normal type -> repartition transaction.
         self.trep: dict[int, Transaction] = {
             txn.type_id: txn
@@ -110,6 +115,7 @@ class RepartitionSession:
         ]
         for txn in new_txns:
             self.rep_txns.append(txn)
+            self._by_id[txn.txn_id] = txn
             self._states[txn.txn_id] = RepState.PENDING
             if (
                 txn.type_id is not None
@@ -117,6 +123,7 @@ class RepartitionSession:
                 and txn.type_id not in self.trep
             ):
                 self.trep[txn.type_id] = txn
+        self._unfinished += len(new_txns)
         added_ops = sum(len(txn.rep_ops) for txn in new_txns)
         self.ops_total += added_ops
         self.metrics.set_rep_ops_total(
@@ -135,6 +142,10 @@ class RepartitionSession:
         """Deployment state of one repartition transaction."""
         return self._states[txn_id]
 
+    def rep_txn(self, txn_id: TxnId) -> Optional[Transaction]:
+        """This session's repartition transaction ``txn_id``, if any."""
+        return self._by_id.get(txn_id)
+
     def pending(self) -> list[Transaction]:
         """PENDING repartition transactions, in rank order."""
         return [
@@ -145,14 +156,12 @@ class RepartitionSession:
 
     def unfinished_count(self) -> int:
         """Repartition transactions not yet DONE."""
-        return sum(
-            1 for state in self._states.values() if state is not RepState.DONE
-        )
+        return self._unfinished
 
     @property
     def is_complete(self) -> bool:
         """Whether every repartition transaction committed."""
-        return self.unfinished_count() == 0
+        return self._unfinished == 0
 
     def mean_rep_txn_cost(self) -> float:
         """Average repartition-transaction cost (feedback sizing input)."""
@@ -207,9 +216,7 @@ class RepartitionSession:
         if state is not RepState.PIGGYBACKED:
             return None
         self._states[rep_txn_id] = RepState.PENDING
-        return next(
-            (t for t in self.rep_txns if t.txn_id == rep_txn_id), None
-        )
+        return self._by_id[rep_txn_id]
 
     def requeue(self, rep_txn: Transaction) -> None:
         """A QUEUED repartition transaction aborted and will be retried."""
@@ -217,14 +224,12 @@ class RepartitionSession:
 
     def complete(self, rep_txn_id: TxnId) -> None:
         """Mark one repartition transaction DONE (removes it from TRep)."""
-        if self._states.get(rep_txn_id) is RepState.DONE:
+        done_txn = self._by_id.get(rep_txn_id)
+        if done_txn is None or self._states[rep_txn_id] is RepState.DONE:
             return
         self._states[rep_txn_id] = RepState.DONE
-        done_txn = next(
-            (t for t in self.rep_txns if t.txn_id == rep_txn_id), None
-        )
-        if done_txn is not None and done_txn.type_id in self.trep:
-            if self.trep[done_txn.type_id].txn_id == rep_txn_id:
-                del self.trep[done_txn.type_id]
+        self._unfinished -= 1
+        if self.trep.get(done_txn.type_id) is done_txn:
+            del self.trep[done_txn.type_id]
         if self.is_complete and not self.completed.triggered:
             self.completed.succeed(self.env.now)

@@ -17,6 +17,8 @@ from typing import Callable, Iterable, Optional
 
 from ..types import TxnId
 
+_NO_EDGES: frozenset[TxnId] = frozenset()
+
 #: Chooses the victim among the transactions in a cycle.
 VictimPolicy = Callable[[tuple[TxnId, ...]], TxnId]
 
@@ -41,6 +43,9 @@ class DeadlockDetector:
 
     def __init__(self, victim_policy: VictimPolicy = youngest_victim) -> None:
         self._waits_for: dict[TxnId, set[TxnId]] = {}
+        #: Reverse index (blocker -> its waiters), the exact transpose of
+        #: ``_waits_for``: finishing a transaction costs O(its degree).
+        self._blocks: dict[TxnId, set[TxnId]] = {}
         self._victim_policy = victim_policy
         #: txn -> (lock manager, key, pending event) of its active wait.
         self._wait_sites: dict[TxnId, tuple[object, TxnId, object]] = {}
@@ -66,24 +71,41 @@ class DeadlockDetector:
         """The (manager, key, event) where ``txn_id`` currently waits."""
         return self._wait_sites.get(txn_id)
 
+    def add_waits(self, waiter: TxnId, blockers: Iterable[TxnId]) -> None:
+        """Add edges ``waiter`` → each of ``blockers``, keeping the rest."""
+        new = set(blockers)
+        new.discard(waiter)
+        new.difference_update(self._waits_for.get(waiter, ()))
+        if not new:
+            return
+        self._waits_for.setdefault(waiter, set()).update(new)
+        for blocker in new:
+            self._blocks.setdefault(blocker, set()).add(waiter)
+
     def set_waits(self, waiter: TxnId, blockers: Iterable[TxnId]) -> None:
         """Replace the outgoing edges of ``waiter``."""
-        blockers = {b for b in blockers if b != waiter}
-        if blockers:
-            self._waits_for[waiter] = blockers
-        else:
-            self._waits_for.pop(waiter, None)
+        self.clear_waits(waiter)
+        self.add_waits(waiter, blockers)
 
     def clear_waits(self, waiter: TxnId) -> None:
         """Remove all outgoing edges of ``waiter`` (it stopped waiting)."""
-        self._waits_for.pop(waiter, None)
+        for blocker in self._waits_for.pop(waiter, ()):
+            self._drop(self._blocks, blocker, waiter)
 
     def remove_transaction(self, txn_id: TxnId) -> None:
         """Purge a finished transaction from the graph entirely."""
-        self._waits_for.pop(txn_id, None)
+        self.clear_waits(txn_id)
         self._wait_sites.pop(txn_id, None)
-        for blockers in self._waits_for.values():
-            blockers.discard(txn_id)
+        for waiter in self._blocks.pop(txn_id, ()):
+            self._drop(self._waits_for, waiter, txn_id)
+
+    @staticmethod
+    def _drop(index: dict[TxnId, set[TxnId]], node: TxnId, peer: TxnId) -> None:
+        """Remove ``peer`` from ``index[node]``; empty sets are not kept."""
+        peers = index[node]
+        peers.discard(peer)
+        if not peers:
+            del index[node]
 
     def waits_of(self, waiter: TxnId) -> frozenset[TxnId]:
         """Current blockers of ``waiter`` (empty if not waiting)."""
@@ -114,7 +136,10 @@ class DeadlockDetector:
                 if successor not in visited:
                     path.append(successor)
                     on_path.add(successor)
-                    stack.append(iter(sorted(graph.get(successor, ()))))
+                    # Dropping what is already explored up front keeps
+                    # a deep queue's search linear in its edges at C speed.
+                    onward = graph.get(successor, _NO_EDGES) - visited
+                    stack.append(iter(sorted(onward)))
                     break
             else:
                 stack.pop()

@@ -10,7 +10,9 @@ Deadlocks are resolved two ways, matching the paper's substrate:
 
 * a global wait-for-graph :class:`~repro.locking.deadlock.DeadlockDetector`
   (shared across all nodes' lock managers) aborts a victim as soon as a
-  cycle forms, even when the cycle spans nodes, and
+  cycle forms, even when the cycle spans nodes.  Its edges are maintained
+  incrementally: a request gains them when it joins a queue (and when an
+  upgrade gets ahead of it) and loses them when it stops waiting; and
 * the transaction executor may additionally impose a lock-wait timeout
   (PostgreSQL-style), which shows up as aborted transactions in the
   failure-rate metric.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Optional
 
 from ..errors import DeadlockAbort
@@ -137,6 +140,13 @@ class LockManager:
                 return event
             # Upgrade S -> X: jumps the queue, waits only on co-holders.
             others = [t for t in entry.holders if t != txn_id]
+            if self.detector is not None:
+                # The one way to get ahead of a queued request: granted
+                # in place or queued at the head, the upgrader's X now
+                # blocks every waiter, also the S ones its S did not.
+                for queued in entry.waiters:
+                    self.detector.add_waits(queued.txn_id, (txn_id,))
+                self.detector.add_waits(txn_id, others)
             if not others:
                 entry.holders[txn_id] = LockMode.EXCLUSIVE
                 self.grants += 1
@@ -146,7 +156,6 @@ class LockManager:
             entry.waiters.appendleft(waiter)
             self.waits += 1
             self._begin_wait(txn_id, key, event)
-            self._refresh_wait_edges(key, entry)
             self._run_deadlock_check(txn_id)
             return event
 
@@ -160,10 +169,21 @@ class LockManager:
             event.succeed(key)
             return event
 
+        if self.detector is not None:
+            # Strict FIFO: whoever is ahead now is all that can ever be
+            # ahead (bar an upgrade jump), so the edges are final here
+            # and grant, release and cancel never touch them.
+            ahead = chain(
+                entry.holders.items(),
+                ((queued.txn_id, queued.mode) for queued in entry.waiters),
+            )
+            self.detector.add_waits(
+                txn_id,
+                [txn for txn, other in ahead if not _compatible(mode, other)],
+            )
         entry.waiters.append(_Waiter(txn_id, mode, event))
         self.waits += 1
         self._begin_wait(txn_id, key, event)
-        self._refresh_wait_edges(key, entry)
         self._run_deadlock_check(txn_id)
         return event
 
@@ -276,29 +296,12 @@ class LockManager:
                 break
         if entry.is_idle():
             self._table.pop(key, None)
-        else:
-            self._refresh_wait_edges(key, entry)
 
     def _finish_grant(self, waiter: _Waiter, key: TupleKey) -> None:
         self.grants += 1
         self._end_wait(waiter.txn_id, key)
         if not waiter.event.triggered:
             waiter.event.succeed(key)
-
-    def _refresh_wait_edges(self, key: TupleKey, entry: _Entry) -> None:
-        """Recompute the wait-for edges contributed by ``key``'s queue."""
-        if self.detector is None:
-            return
-        ahead: list[tuple[TxnId, LockMode]] = list(entry.holders.items())
-        for waiter in entry.waiters:
-            blockers = {
-                txn
-                for txn, mode in ahead
-                if txn != waiter.txn_id and not _compatible(waiter.mode, mode)
-            }
-            existing = self.detector.waits_of(waiter.txn_id)
-            self.detector.set_waits(waiter.txn_id, blockers | set(existing))
-            ahead.append((waiter.txn_id, waiter.mode))
 
     def _run_deadlock_check(self, txn_id: TxnId) -> None:
         if self.detector is None:

@@ -60,6 +60,20 @@ class TestRegistry:
         assert [f.code for f in result.findings] == ["RPR001"]
         assert REGISTRY["RPR001"].code == "RPR001"
 
+    @pytest.mark.parametrize(
+        ("path", "flagged"),
+        [
+            ("src/repro/locking/deadlock.py", True),
+            ("src/repro/core/session.py", True),
+            ("src/repro/core/monitor.py", False),
+        ],
+    )
+    def test_rpr001_scope_covers_locking_and_session(
+        self, path: str, flagged: bool
+    ) -> None:
+        result = analyze_sources({path: SIM_VIOLATION}, select=["RPR001"])
+        assert bool(result.findings) is flagged
+
 
 class TestSuppressions:
     def test_justified_suppression_applies(self) -> None:

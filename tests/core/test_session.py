@@ -1,10 +1,13 @@
 """Tests for the repartition session's state machine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.session import RepState
 from repro.types import Priority
 
+from .conftest import build_harness
 
 
 class TestInitialState:
@@ -155,3 +158,55 @@ class TestCompletion:
         assert session.mean_rep_txn_cost() == pytest.approx(
             sum(costs) / len(costs)
         )
+
+
+SESSION_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["submit", "claim", "release", "complete", "complete", "extend"]
+        ),
+        st.integers(min_value=0, max_value=40),
+    ),
+    max_size=60,
+)
+
+
+class TestIncrementalBookkeeping:
+    """The O(1) counter and id index against from-scratch recounts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SESSION_OPS)
+    def test_counter_and_completion_track_a_recount(self, ops):
+        harness = build_harness()
+        session = harness.session()
+        arms = [session.completed]
+        for op, pick in ops:
+            rep = session.rep_txns[pick % len(session.rep_txns)]
+            if op == "submit":
+                if session.state_of(rep.txn_id) is RepState.PENDING:
+                    session.submit(rep, Priority.LOW)
+            elif op == "claim":
+                session.claim_for_piggyback(rep.type_id)
+            elif op == "release":
+                released = session.release_piggyback(rep.txn_id)
+                assert released is None or released is rep
+            elif op == "complete":
+                session.complete(rep.txn_id)
+            elif op == "extend":
+                session.extend(harness.specs[: 1 + pick % 2])
+            if session.completed is not arms[-1]:
+                arms.append(session.completed)
+            unfinished = sum(
+                session.state_of(t.txn_id) is not RepState.DONE
+                for t in session.rep_txns
+            )
+            assert session.unfinished_count() == unfinished
+            assert session.is_complete == (unfinished == 0)
+            # Every arm but the last fired before it was replaced; the
+            # live one fires exactly when the recount reaches zero
+            # (``Event.succeed`` raises on a second firing).
+            assert all(arm.triggered for arm in arms[:-1])
+            assert arms[-1].triggered == (unfinished == 0)
+            for txn in session.rep_txns:
+                assert session.rep_txn(txn.txn_id) is txn
+        assert session.rep_txn(-1) is None

@@ -136,6 +136,7 @@ class TestSchemaKinds:
         assert kind_for_path("BENCH_engine.json") == "engine"
         assert kind_for_path("/ci/BENCH_routing.json") == "routing"
         assert kind_for_path("BENCH_scale.json") == "scale"
+        assert kind_for_path("BENCH_locking.json") == "locking"
         assert kind_for_path("BENCH_future_thing.json") == "generic"
         assert kind_for_path("results.json") == "generic"
 
@@ -204,6 +205,25 @@ class TestSchemaKinds:
         assert any(
             "build_wall_clock_s_by_nodes" in p
             for p in validate_schema(payload, "scale")
+        )
+
+    def test_locking_ratio_is_gated_on_any_machine(self):
+        """The committed file passes; a file whose per-operation cost
+        grows with the queue again fails its schema check outright."""
+        committed = json.loads(
+            (_BENCHMARKS.parent / "BENCH_locking.json").read_text()
+        )
+        assert validate_schema(committed, "locking") == []
+        assert committed["before"]["depth128_over_depth1"] > 60
+        regressed = {**committed, "depth128_over_depth1": 60.5}
+        assert any(
+            "depth128_over_depth1" in p
+            for p in validate_schema(regressed, "locking")
+        )
+        del regressed["depth16_ops_per_s"]
+        assert any(
+            "depth16_ops_per_s" in p
+            for p in validate_schema(regressed, "locking")
         )
 
     def test_generic_kind_ignores_extra_metrics(self):
