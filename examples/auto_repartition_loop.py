@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The fully closed loop: monitor → trigger → plan → deploy → repeat.
+"""The fully closed loop: monitor → trigger → plan → submit → repeat.
 
 The paper's repartitioner (§2.2) "periodically extracts the frequency of
 transactions ... from the workload history" and triggers a repartition
@@ -20,13 +20,11 @@ Run:  python examples/auto_repartition_loop.py
 from repro.core import (
     AutoRepartitioner,
     AutoRepartitionerConfig,
-    HybridScheduler,
     WorkloadMonitor,
 )
-from repro.core.schedulers import FeedbackConfig
 from repro.experiments import bench_scale, build_system
 from repro.metrics import format_interval_table
-from repro.partitioning import RepartitionOptimizer
+from repro.partitioning import OptimizerConfig, RepartitionOptimizer
 from repro.workload import (
     ArrivalConfig,
     PoissonArrivalProcess,
@@ -40,7 +38,7 @@ INTERVAL_S = 20.0
 def main() -> None:
     # Build a normally-loaded system whose initial placement is fine...
     config = bench_scale(
-        scheduler="Hybrid",  # (only used if we scripted the kickoff)
+        scheduler="Hybrid",  # deploys whatever the trigger submits
         distribution="zipf",
         load="low",
         alpha=1.0,
@@ -65,21 +63,17 @@ def main() -> None:
     system.tm.submit = submit_with_observation
 
     optimizer = RepartitionOptimizer(
-        system.cost_model, system.cluster.partition_ids
+        system.cost_model,
+        system.cluster.partition_ids,
+        OptimizerConfig(utilisation_threshold=0.9),
     )
-    hint = system.arrival_rate_txn_per_s * INTERVAL_S
     auto = AutoRepartitioner(
         system.repartitioner,
         monitor,
         optimizer,
         system.metrics,
         capacity_units_per_s=system.cluster.total_capacity_units_per_s,
-        scheduler_factory=lambda: HybridScheduler(
-            FeedbackConfig(setpoint=1.05, normal_cost_hint=hint)
-        ),
-        config=AutoRepartitionerConfig(
-            utilisation_threshold=0.9, min_arrivals=2
-        ),
+        config=AutoRepartitionerConfig(min_arrivals=2),
     )
 
     print(
@@ -87,7 +81,7 @@ def main() -> None:
         "stay quiet."
     )
     env.run(until=8 * INTERVAL_S)
-    print(f"  t={env.now:.0f}s sessions started: {auto.sessions_started}")
+    print(f"  t={env.now:.0f}s plans submitted: {auto.plans_submitted}")
 
     # Phase 2: the workload shifts — arrivals now come from the
     # *distributed* population the initial placement was never built
@@ -110,12 +104,12 @@ def main() -> None:
     )
     env.run(until=INTERVALS * INTERVAL_S + 1e-9)
 
-    print(f"\nsessions started automatically: {auto.sessions_started}")
+    print(f"\nplans submitted automatically: {auto.plans_submitted}")
     session = system.repartitioner.session
     if session is not None:
         state = "complete" if session.is_complete else "in flight"
         print(
-            f"last session: {len(session.rep_txns)} repartition "
+            f"session: {len(session.rep_txns)} repartition "
             f"transactions, {session.ops_total} ops — {state}"
         )
     print()

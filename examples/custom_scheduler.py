@@ -2,7 +2,7 @@
 """Extending SOAP: writing a custom repartition scheduler.
 
 The scheduler interface (:class:`repro.core.Scheduler`) has four hooks —
-``begin``, ``on_interval``, ``on_submit``, ``on_finished`` — and this
+``admit``, ``on_interval``, ``on_submit``, ``on_finished`` — and this
 example implements a new strategy with them:
 
 **DrainThenBurst**: watch the queue each interval; while the backlog of
@@ -19,8 +19,13 @@ same workload.
 Run:  python examples/custom_scheduler.py
 """
 
-from repro.core import Scheduler
-from repro.experiments import bench_scale, build_system, run_experiment
+from repro.core import Repartitioner, Scheduler
+from repro.experiments import (
+    bench_scale,
+    build_system,
+    run_experiment,
+    start_repartitioning,
+)
 from repro.metrics import format_comparison_table
 from repro.metrics.collectors import IntervalRecord
 from repro.types import Priority
@@ -37,7 +42,7 @@ class DrainThenBurstScheduler(Scheduler):
         self.burst_size = burst_size
         self.bursts = 0
 
-    def begin(self) -> None:
+    def admit(self, new_txns) -> None:
         # Hold everything back; we submit only during bursts.
         pass
 
@@ -59,29 +64,18 @@ def run_with_custom_scheduler(config):
     """Run an experiment cell, swapping in the custom scheduler."""
 
     system = build_system(config)
+    # The repartitioner owns the run's one scheduler: build it with ours.
+    system.repartitioner = Repartitioner(
+        system.env, system.tm, system.router, system.metrics,
+        system.cost_model, DrainThenBurstScheduler(),
+    )
     interval_s = config.runtime.interval_s
     warmup_s = interval_s * config.runtime.warmup_intervals
 
     def kickoff():
         yield system.env.timeout(warmup_s)
-        # Plan exactly as the stock runner would, then deploy with ours.
-        from repro.partitioning import RepartitionOptimizer
-
-        optimizer = RepartitionOptimizer(
-            system.cost_model, system.cluster.partition_ids
-        )
-        types_to_fix = [
-            t for t in system.profile.types
-            if t.type_id in system.distributed_type_ids
-        ]
-        plan = optimizer.derive_plan(
-            system.profile, system.router.partition_map, types_to_fix
-        )
-        scheduler = DrainThenBurstScheduler()
-        system.session = system.repartitioner.deploy_plan(
-            plan, system.profile, scheduler
-        )
-        system.scheduler = scheduler
+        # Plan, rank and submit exactly as the stock runner does.
+        start_repartitioning(system)
 
     system.env.process(kickoff())
     horizon = warmup_s + interval_s * config.runtime.measure_intervals
@@ -124,10 +118,10 @@ def main() -> None:
             )
         )
 
-    scheduler = system.scheduler
+    repartitioner = system.repartitioner
     print(
-        f"\nDrainThenBurst fired {scheduler.bursts} bursts; "
-        f"session complete: {system.session.is_complete}"
+        f"\nDrainThenBurst fired {repartitioner.scheduler.bursts} bursts; "
+        f"session complete: {repartitioner.session.is_complete}"
     )
     print(
         "Lesson: the bang-bang policy either lags Hybrid (threshold too "

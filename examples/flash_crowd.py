@@ -117,7 +117,9 @@ def main() -> None:
     # --- 3. Detection + Schism-style planning ----------------------------
     optimizer = RepartitionOptimizer(cost_model, cluster.partition_ids)
     should = optimizer.should_repartition(
-        rate, crowd_profile, pmap, cluster.total_capacity_units_per_s
+        rate,
+        cost_model.expected_cost_per_txn(crowd_profile.types, pmap),
+        cluster.total_capacity_units_per_s,
     )
     print(f"crowd arrival rate: {rate:.1f} txn/s")
     print(f"optimizer trigger fires: {should}")
@@ -130,19 +132,17 @@ def main() -> None:
     )
 
     # --- 4. Online deployment with Hybrid ---------------------------------
-    repartitioner = Repartitioner(env, tm, router, metrics, cost_model)
+    scheduler = HybridScheduler(
+        FeedbackConfig(setpoint=1.05, normal_cost_hint=rate * INTERVAL_S)
+    )
+    repartitioner = Repartitioner(
+        env, tm, router, metrics, cost_model, scheduler
+    )
 
     def deploy_after_warmup():
         yield env.timeout(5 * INTERVAL_S)
-        scheduler = HybridScheduler(
-            FeedbackConfig(
-                setpoint=1.05,
-                normal_cost_hint=rate * INTERVAL_S,
-            )
-        )
-        session = repartitioner.deploy_plan(
-            plan, crowd_profile, scheduler
-        )
+        repartitioner.submit(repartitioner.rank_plan(plan, crowd_profile))
+        session = repartitioner.session
         print(
             f"[t={env.now:.0f}s] deploying "
             f"{len(session.rep_txns)} repartition transactions "
@@ -155,9 +155,9 @@ def main() -> None:
     print()
     print(format_interval_table(metrics.intervals, every=2))
     session = repartitioner.session
-    if session is not None and session.completed.triggered:
+    if session is not None and session.completed_at is not None:
         print(
-            f"\nrepartitioning finished at t={session.completed.value:.0f}s; "
+            f"\nrepartitioning finished at t={session.completed_at:.0f}s; "
             "the crowd's transactions now run single-partition."
         )
     else:

@@ -15,16 +15,16 @@ optimizer and Algorithm 1 need, derived from measurement instead of
 ground truth.
 
 :class:`AutoRepartitioner` closes the loop: every interval it estimates
-utilisation from the observed history and, when the threshold is
-breached and no session is active, derives and deploys a plan with the
-configured scheduler.
+utilisation from the observed history and, when the optimizer's
+threshold is breached and no repartitioning is in progress, derives a
+plan and submits it to the repartitioner.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..metrics.collectors import IntervalRecord, MetricsCollector
 from ..partitioning.cost_model import CostModel
@@ -34,7 +34,6 @@ from ..txn.transaction import Transaction
 from ..types import TupleKey
 from ..workload.profile import TransactionType, WorkloadProfile
 from .repartitioner import Repartitioner
-from .schedulers.base import Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -269,8 +268,6 @@ class TypeCostCache:
 class AutoRepartitionerConfig:
     """Trigger policy for the closed loop."""
 
-    #: Re-plan when estimated utilisation exceeds this.
-    utilisation_threshold: float = 0.9
     #: Minimum observed arrivals for a type to be planned around.
     min_arrivals: int = 2
     #: Cool-down: intervals to wait after a session completes before
@@ -279,7 +276,7 @@ class AutoRepartitionerConfig:
 
 
 class AutoRepartitioner:
-    """The fully closed loop: monitor → trigger → plan → deploy."""
+    """The fully closed loop: monitor → trigger → plan → submit."""
 
     def __init__(
         self,
@@ -288,16 +285,14 @@ class AutoRepartitioner:
         optimizer: RepartitionOptimizer,
         metrics: MetricsCollector,
         capacity_units_per_s: float,
-        scheduler_factory: Callable[[], Scheduler],
         config: Optional[AutoRepartitionerConfig] = None,
     ) -> None:
         self.repartitioner = repartitioner
         self.monitor = monitor
         self.optimizer = optimizer
         self.capacity_units_per_s = capacity_units_per_s
-        self.scheduler_factory = scheduler_factory
         self.config = config or AutoRepartitionerConfig()
-        self.sessions_started = 0
+        self.plans_submitted = 0
         self._cooldown = 0
         self._cost_cache = TypeCostCache(
             repartitioner.cost_model, repartitioner.router.store
@@ -319,15 +314,14 @@ class AutoRepartitioner:
         rate = self.monitor.observed_rate_txn_per_s()
         pmap = self.repartitioner.router.store.current_epoch
         mean_cost = self._cost_cache.mean_cost(profile.types)
-        if self.capacity_units_per_s <= 0:
-            return
-        utilisation = rate * mean_cost / self.capacity_units_per_s
-        if utilisation <= self.config.utilisation_threshold:
+        if not self.optimizer.should_repartition(
+            rate, mean_cost, self.capacity_units_per_s
+        ):
             return
         plan = self.optimizer.derive_plan(profile, pmap)
         specs = self.repartitioner.rank_plan(plan, profile)
         if not specs:
             return
-        self.repartitioner.deploy(specs, self.scheduler_factory())
-        self.sessions_started += 1
+        self.repartitioner.submit(specs)
+        self.plans_submitted += 1
         self._cooldown = self.config.cooldown_intervals

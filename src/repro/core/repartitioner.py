@@ -2,17 +2,16 @@
 
 Ties the pipeline together: take a partition plan from an optimizer,
 diff it against the live partition map, run Algorithm 1 to generate and
-rank repartition transactions, open a :class:`RepartitionSession`, and
-hand control to the chosen scheduler.  The repartitioner also wires the
-scheduler into the transaction manager (arrival/completion hooks) and
-the metrics collector (interval observations).
+rank repartition transactions (:meth:`Repartitioner.rank_plan`), and
+hand the ranked specs to the run's one :class:`RepartitionSession` and
+scheduler (:meth:`Repartitioner.submit`).  The repartitioner also wires
+the scheduler into the transaction manager (arrival/completion hooks)
+and the metrics collector (interval observations).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
-
-from ..txn.transaction import Transaction
 
 from ..metrics.collectors import MetricsCollector
 from ..partitioning.cost_model import CostModel
@@ -20,6 +19,7 @@ from ..partitioning.operations import RepartitionOperation
 from ..partitioning.plan import PartitionPlan, diff_plan
 from ..routing.router import QueryRouter
 from ..txn.manager import TransactionManager
+from ..txn.transaction import Transaction
 from ..workload.profile import WorkloadProfile
 from .ranking import RepartitionTransactionSpec, generate_and_rank
 from .schedulers.base import Scheduler
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Repartitioner:
-    """Coordinates online deployment of a repartition plan."""
+    """Coordinates online deployment of repartition plans."""
 
     def __init__(
         self,
@@ -39,14 +39,15 @@ class Repartitioner:
         router: QueryRouter,
         metrics: MetricsCollector,
         cost_model: CostModel,
+        scheduler: Scheduler,
     ) -> None:
         self.env = env
         self.tm = tm
         self.router = router
         self.metrics = metrics
         self.cost_model = cost_model
+        self.scheduler = scheduler
         self.session: Optional[RepartitionSession] = None
-        self.scheduler: Optional[Scheduler] = None
 
     # ------------------------------------------------------------------
     # Planning + ranking
@@ -77,47 +78,25 @@ class Repartitioner:
     # ------------------------------------------------------------------
     # Deployment
     # ------------------------------------------------------------------
-    def deploy(
-        self,
-        specs: Sequence[RepartitionTransactionSpec],
-        scheduler: Scheduler,
-    ) -> RepartitionSession:
-        """Open a session and let ``scheduler`` drive the deployment."""
-        if self.session is not None and not self.session.is_complete:
-            raise RuntimeError("a repartition session is already active")
-        session = RepartitionSession(self.env, self.tm, self.metrics, specs)
-        scheduler.bind(session)
-        self.tm.scheduler = scheduler
-        self.metrics.interval_observers.append(scheduler.on_interval)
-        scheduler.begin()
-        self.session = session
-        self.scheduler = scheduler
-        return session
-
-    def deploy_plan(
-        self,
-        plan: PartitionPlan,
-        profile: WorkloadProfile,
-        scheduler: Scheduler,
-    ) -> RepartitionSession:
-        """Convenience: rank ``plan`` and deploy it in one call."""
-        specs = self.rank_plan(plan, profile)
-        return self.deploy(specs, scheduler)
-
-    def extend(
+    def submit(
         self, specs: Sequence[RepartitionTransactionSpec]
-    ) -> list["Transaction"]:
-        """Add ranked specs to the active session mid-deployment.
+    ) -> list[Transaction]:
+        """Hand ranked specs to the session; return their transactions.
 
-        The transaction manager holds exactly one scheduler slot, so
-        concurrent plans (the workload-driven plan plus elastic drain or
-        rebalance migrations) share the one session and scheduler; the
-        scheduler is told about the newcomers through its
-        :meth:`~repro.core.schedulers.base.Scheduler.on_extended` hook.
+        The one way in for every plan source — the workload plan,
+        elastic drains, rebalances and straggler sweeps, the automatic
+        trigger, replication.  The transaction manager holds exactly one
+        scheduler slot, so they all share one session and scheduler; the
+        first call opens the session and wires the scheduler into the
+        transaction manager and the interval observers, and every call
+        adds the specs as PENDING transactions and lets the scheduler
+        admit them.
         """
         if self.session is None:
-            raise RuntimeError("no repartition session to extend")
-        new_txns = self.session.extend(specs)
-        if self.scheduler is not None:
-            self.scheduler.on_extended(new_txns)
+            self.session = RepartitionSession(self.env, self.tm, self.metrics)
+            self.scheduler.bind(self.session)
+            self.tm.scheduler = self.scheduler
+            self.metrics.interval_observers.append(self.scheduler.on_interval)
+        new_txns = self.session.add(specs)
+        self.scheduler.admit(new_txns)
         return new_txns

@@ -9,6 +9,7 @@ overloaded (the behaviour the paper attributes to Sword [15]).
 
 from __future__ import annotations
 
+from ...txn.transaction import Transaction
 from ...types import Priority
 from .base import Scheduler
 
@@ -18,13 +19,7 @@ class AfterAllScheduler(Scheduler):
 
     name = "AfterAll"
 
-    def begin(self) -> None:
-        assert self.session is not None
-        for rep_txn in list(self.session.pending()):
-            self.session.submit(rep_txn, Priority.LOW)
-
-    def on_extended(self, new_txns: list) -> None:
-        """Late arrivals (elastic migrations) queue at LOW like the rest."""
+    def admit(self, new_txns: list[Transaction]) -> None:
         assert self.session is not None
         for rep_txn in new_txns:
             self.session.submit(rep_txn, Priority.LOW)

@@ -10,6 +10,7 @@ repartitioning itself while the backlog drains.
 
 from __future__ import annotations
 
+from ...txn.transaction import Transaction
 from ...types import Priority
 from .base import Scheduler
 
@@ -19,13 +20,7 @@ class ApplyAllScheduler(Scheduler):
 
     name = "ApplyAll"
 
-    def begin(self) -> None:
-        assert self.session is not None
-        for rep_txn in list(self.session.pending()):
-            self.session.submit(rep_txn, Priority.HIGH)
-
-    def on_extended(self, new_txns: list) -> None:
-        """Late arrivals (elastic migrations) go straight in at HIGH."""
+    def admit(self, new_txns: list[Transaction]) -> None:
         assert self.session is not None
         for rep_txn in new_txns:
             self.session.submit(rep_txn, Priority.HIGH)

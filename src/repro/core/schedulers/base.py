@@ -1,10 +1,11 @@
 """Scheduler interface and shared bookkeeping.
 
 A scheduler decides *when* each repartition transaction runs.  It plugs
-into the system at three points:
+into the system at four points:
 
-* :meth:`Scheduler.begin` — the repartition plan was just ranked; submit
-  (or hold) the repartition transactions;
+* :meth:`Scheduler.admit` — ranked repartition transactions just joined
+  the session (a workload plan, a drain, a rebalance …); submit or hold
+  them;
 * :meth:`Scheduler.on_submit` — a normal transaction is entering the
   processing queue (the Piggyback strategies inject operations here);
 * :meth:`Scheduler.on_interval` — an interval closed; adapt (Feedback);
@@ -44,8 +45,13 @@ class Scheduler:
         """Attach this scheduler to a repartition session."""
         self.session = session
 
-    def begin(self) -> None:
-        """Deployment starts; submit/hold repartition transactions."""
+    def admit(self, new_txns: list[Transaction]) -> None:
+        """PENDING transactions joined the session; submit or hold them.
+
+        Called by :meth:`~repro.core.repartitioner.Repartitioner.submit`
+        for every batch alike — the first plan of a run, or elastic
+        migrations arriving mid-deployment or after it finished.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -56,16 +62,6 @@ class Scheduler:
 
     def on_submit(self, txn: Transaction) -> None:
         """A normal transaction is entering the queue."""
-
-    def on_extended(self, new_txns: list[Transaction]) -> None:
-        """The session gained repartition transactions mid-deployment.
-
-        Elastic membership events (node drains, scale-outs) extend the
-        running session with freshly ranked migration transactions.
-        Each strategy treats newcomers the way :meth:`begin` treated the
-        original batch; the default (used by Piggyback, which holds
-        everything PENDING for carriers) is to do nothing.
-        """
 
     def on_finished(self, txn: Transaction, success: bool) -> None:
         """A transaction finished; update repartition-transaction state."""

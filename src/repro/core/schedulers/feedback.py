@@ -85,13 +85,8 @@ class FeedbackScheduler(Scheduler):
         self.promotions = 0
         self._last_normal_cost = 0.0
 
-    def begin(self) -> None:
-        assert self.session is not None
-        for rep_txn in list(self.session.pending()):
-            self.session.submit(rep_txn, Priority.LOW)
-
-    def on_extended(self, new_txns: list[Transaction]) -> None:
-        """Late arrivals join the LOW baseline; the PID promotes them."""
+    def admit(self, new_txns: list[Transaction]) -> None:
+        """Everything joins the LOW baseline; the PID promotes from it."""
         assert self.session is not None
         for rep_txn in new_txns:
             self.session.submit(rep_txn, Priority.LOW)

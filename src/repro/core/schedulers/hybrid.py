@@ -48,19 +48,14 @@ class HybridScheduler(Scheduler):
         self.feedback.bind(session)
         self.piggyback.bind(session)
 
-    def begin(self) -> None:
-        # The feedback module owns queue residency (AfterAll baseline);
-        # the piggyback module will claim transactions out of the queue
-        # when carriers arrive.
-        self.feedback.begin()
-
     def on_interval(self, record: IntervalRecord) -> None:
         self.feedback.on_interval(record)
 
-    def on_extended(self, new_txns: list[Transaction]) -> None:
-        # Queue residency is the feedback module's job; the piggyback
-        # module claims newcomers out of the queue via TRep as usual.
-        self.feedback.on_extended(new_txns)
+    def admit(self, new_txns: list[Transaction]) -> None:
+        # The feedback module owns queue residency (AfterAll baseline);
+        # the piggyback module claims transactions out of the queue via
+        # TRep when carriers arrive.
+        self.feedback.admit(new_txns)
 
     def on_submit(self, txn: Transaction) -> None:
         self.piggyback.on_submit(txn)

@@ -52,7 +52,7 @@ class PiggybackScheduler(Scheduler):
         #: Carriers that already failed once ride clean from then on.
         self._do_not_piggyback: set[TxnId] = set()
 
-    def begin(self) -> None:
+    def admit(self, new_txns: list[Transaction]) -> None:
         """Nothing is queued; deployment rides entirely on arrivals."""
 
     # ------------------------------------------------------------------

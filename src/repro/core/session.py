@@ -1,7 +1,8 @@
-"""The repartition session: shared state for one plan deployment.
+"""The repartition session: shared state for a run's plan deployments.
 
 A session owns the ranked repartition transactions produced by
-Algorithm 1 and tracks each one's state while a scheduler deploys them:
+Algorithm 1 — every plan submitted during the run — and tracks each
+one's state while the scheduler deploys them:
 
 * ``PENDING`` — known but not in the processing queue;
 * ``QUEUED`` — submitted to the transaction manager;
@@ -9,8 +10,8 @@ Algorithm 1 and tracks each one's state while a scheduler deploys them:
 * ``DONE`` — committed (directly or via carrier).
 
 It also exposes ``TRep`` — the type-id → repartition-transaction lookup
-that Algorithm 2's piggybacking consults — and fires a completion event
-when every repartition transaction is done.
+that Algorithm 2's piggybacking consults — and records when the last
+repartition transaction finished.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..metrics.collectors import MetricsCollector
-from ..sim.events import Event
 from ..txn.manager import TransactionManager
 from ..txn.transaction import Transaction
 from ..types import Priority, TxnId
@@ -39,69 +39,43 @@ class RepState(enum.Enum):
 
 
 class RepartitionSession:
-    """Tracks one repartition plan's deployment."""
+    """Tracks the deployment of every plan submitted during a run."""
 
     def __init__(
         self,
         env: "Environment",
         tm: TransactionManager,
         metrics: MetricsCollector,
-        specs: Sequence[RepartitionTransactionSpec],
     ) -> None:
         self.env = env
         self.tm = tm
         self.metrics = metrics
-        self.started_at = env.now
-        self.completed = Event(env)
-
-        self.rep_txns: list[Transaction] = [
-            tm.create_repartition(
-                ops=spec.ops,
-                type_id=spec.type_id,
-                benefit=spec.benefit,
-                cost=spec.cost,
-                benefit_density=spec.benefit_density,
-            )
-            for spec in specs
-        ]
-        self._by_id: dict[TxnId, Transaction] = {
-            txn.txn_id: txn for txn in self.rep_txns
-        }
-        self._states: dict[TxnId, RepState] = dict.fromkeys(
-            self._by_id, RepState.PENDING
-        )
-        #: Transactions not yet DONE (kept in step by extend/complete).
-        self._unfinished = len(self.rep_txns)
+        #: When the last unfinished transaction committed; ``None``
+        #: while work is outstanding (and for a session never given any).
+        self.completed_at: Optional[float] = None
+        self.rep_txns: list[Transaction] = []
+        self._by_id: dict[TxnId, Transaction] = {}
+        self._states: dict[TxnId, RepState] = {}
+        #: Transactions not yet DONE (kept in step by add/complete).
+        self._unfinished = 0
         #: TRep — benefiting normal type -> repartition transaction.
-        self.trep: dict[int, Transaction] = {
-            txn.type_id: txn
-            for txn in self.rep_txns
-            if txn.type_id is not None and txn.type_id >= 0
-        }
-        self.ops_total = sum(len(txn.rep_ops) for txn in self.rep_txns)
-        metrics.set_rep_ops_total(metrics.rep_ops_total + self.ops_total)
+        self.trep: dict[int, Transaction] = {}
+        self.ops_total = 0
         # Route applied-op notifications into the metrics collector.
         tm.executor.on_rep_op_applied = lambda _op, _txn: (
             metrics.record_rep_op_applied()
         )
-        if not self.rep_txns:
-            self.completed.succeed()
 
-    # ------------------------------------------------------------------
-    # Extension (elastic membership: more migrations mid-session)
-    # ------------------------------------------------------------------
-    def extend(
+    def add(
         self, specs: Sequence[RepartitionTransactionSpec]
     ) -> list[Transaction]:
-        """Add ranked specs to this session as PENDING transactions.
+        """Turn ranked specs into PENDING transactions of this session.
 
-        Elastic membership events (drain, scale-out) arrive while a
-        deployment may already be running — or already finished.  The
-        session absorbs the new work: fresh transactions join
-        ``rep_txns`` and TRep (types not already mapped), the metrics
-        op total grows, and if the completion event already fired it is
-        re-armed with a fresh event so the run's recorded completion
-        time reflects the *last* migration, not the first batch's.
+        The one way work enters a session: the workload plan, elastic
+        drains and rebalances, and replication all arrive here, while a
+        deployment is running or after it finished.  Transactions are
+        created in spec order; of two specs benefiting one type the
+        first — the higher benefit density — keeps the TRep slot.
         """
         new_txns = [
             self.tm.create_repartition(
@@ -129,10 +103,9 @@ class RepartitionSession:
         self.metrics.set_rep_ops_total(
             self.metrics.rep_ops_total + added_ops
         )
-        if new_txns and self.completed.triggered:
-            # The old event already woke its waiters (that completion
-            # was real at the time); future waiters see the new one.
-            self.completed = Event(self.env)
+        if new_txns:
+            # The recorded completion time is the *last* migration's.
+            self.completed_at = None
         return new_txns
 
     # ------------------------------------------------------------------
@@ -218,10 +191,6 @@ class RepartitionSession:
         self._states[rep_txn_id] = RepState.PENDING
         return self._by_id[rep_txn_id]
 
-    def requeue(self, rep_txn: Transaction) -> None:
-        """A QUEUED repartition transaction aborted and will be retried."""
-        # The TM resubmits it with the same priority; state stays QUEUED.
-
     def complete(self, rep_txn_id: TxnId) -> None:
         """Mark one repartition transaction DONE (removes it from TRep)."""
         done_txn = self._by_id.get(rep_txn_id)
@@ -231,5 +200,5 @@ class RepartitionSession:
         self._unfinished -= 1
         if self.trep.get(done_txn.type_id) is done_txn:
             del self.trep[done_txn.type_id]
-        if self.is_complete and not self.completed.triggered:
-            self.completed.succeed(self.env.now)
+        if self.is_complete:
+            self.completed_at = self.env.now

@@ -22,14 +22,15 @@ The :class:`ElasticityController` executes a schedule: it walks nodes
 through the membership lifecycle via the cluster's membership API,
 plans the resulting mass migration (drain: every resident tuple off the
 node; scale-out: rebalance onto the joiners), ranks the operations with
-SOAP's Algorithm 1, and deploys them through the ordinary repartition
-session so the configured scheduler — ApplyAll, AfterAll, Feedback,
-Piggyback, or Hybrid — decides when they run.  Because some schedulers
-never push work on their own (Piggyback only rides carriers; AfterAll
-waits for idleness), the controller also runs a *pump*: an escalation
-ladder that submits still-pending migration transactions at LOW after
-``grace_intervals``, promotes them to NORMAL after
-``escalation_intervals`` more, and to HIGH after twice that — the
+SOAP's Algorithm 1, and hands them to
+:meth:`~repro.core.repartitioner.Repartitioner.submit`, the one way into
+the run's repartition session, so the configured scheduler — ApplyAll,
+AfterAll, Feedback, Piggyback, or Hybrid — decides when they run.
+Because some schedulers never push work on their own (Piggyback only
+rides carriers; AfterAll waits for idleness), the controller also runs
+a *pump*: an escalation ladder that submits still-pending migration
+transactions at LOW after ``grace_intervals``, promotes them to NORMAL
+after ``escalation_intervals`` more, and to HIGH after twice that — the
 operator's drain deadline, ensuring every drain completes under every
 scheduler.  All decisions happen at interval boundaries from named RNG
 streams and epoch snapshots, preserving serial/parallel bit-identical
@@ -38,8 +39,9 @@ determinism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .cluster.node import DataNode, NodeState
 from .core.ranking import chunk_specs
@@ -54,8 +56,6 @@ from .types import Priority
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster.cluster import Cluster
     from .core.repartitioner import Repartitioner
-    from .core.schedulers.base import Scheduler
-    from .faults import FaultInjector
     from .metrics.collectors import IntervalRecord
     from .txn.transaction import Transaction
     from .workload.profile import WorkloadProfile
@@ -76,9 +76,9 @@ class ElasticityEvent:
     value: int
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
+        if not 0 <= self.at_s < math.inf:  # also refuses NaN
             raise ConfigError(
-                f"elasticity time cannot be negative: {self.at_s}"
+                f"elasticity time must be finite and >= 0: {self.at_s}"
             )
         if self.action not in ELASTICITY_ACTIONS:
             raise ConfigError(
@@ -131,9 +131,9 @@ class ElasticityScheduleConfig:
             )
         if self.queue_high is not None:
             assert self.queue_low is not None
-            if self.queue_low < 0 or self.queue_high <= self.queue_low:
+            if not 0 <= self.queue_low < self.queue_high < math.inf:
                 raise ConfigError(
-                    "watermarks must satisfy 0 <= low < high, got "
+                    "watermarks must satisfy 0 <= low < high < inf, got "
                     f"low={self.queue_low} high={self.queue_high}"
                 )
         if self.check_intervals < 1:
@@ -200,7 +200,11 @@ def _parse_policy(parts: list[str], text: str) -> ElasticityScheduleConfig:
             value = float(value_text)
         except ValueError as exc:
             raise ConfigError(f"bad value in {part!r}: {exc}") from None
-        known[key] = int(value) if key in integral else value
+        if key in integral:
+            if not value.is_integer():  # also refuses NaN and inf
+                raise ConfigError(f"{key} must be a whole number: {part!r}")
+            value = int(value)
+        known[key] = value
     return ElasticityScheduleConfig(
         queue_high=known["high"],
         queue_low=known["low"],
@@ -210,25 +214,6 @@ def _parse_policy(parts: list[str], text: str) -> ElasticityScheduleConfig:
         grace_intervals=known["grace"],
         escalation_intervals=known["escalate"],
         max_ops_per_txn=known["ops"],
-    )
-
-
-def format_elasticity_schedule(schedule: ElasticityScheduleConfig) -> str:
-    """Inverse of :func:`parse_elasticity_schedule` (display/round-trip)."""
-    if schedule.queue_high is not None:
-        parts = [
-            f"high={schedule.queue_high:g}",
-            f"low={schedule.queue_low:g}",
-            f"check={schedule.check_intervals}",
-        ]
-        if schedule.max_nodes is not None:
-            parts.append(f"max={schedule.max_nodes}")
-        if schedule.min_nodes != 1:
-            parts.append(f"min={schedule.min_nodes}")
-        return ",".join(parts)
-    return ",".join(
-        f"{event.at_s:g}:{event.action}:{event.value}"
-        for event in schedule.events
     )
 
 
@@ -258,15 +243,11 @@ class ElasticityController:
         repartitioner: "Repartitioner",
         profile: "WorkloadProfile",
         schedule: ElasticityScheduleConfig,
-        scheduler_factory: Callable[[], "Scheduler"],
-        fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.cluster = cluster
         self.repartitioner = repartitioner
         self.profile = profile
         self.schedule = schedule
-        self.scheduler_factory = scheduler_factory
-        self.fault_injector = fault_injector
         self.env = repartitioner.env
         self.metrics = repartitioner.metrics
         self.store = repartitioner.router.store
@@ -364,19 +345,16 @@ class ElasticityController:
     def _deploy_ops(
         self, plan: PartitionPlan, ops: list[RepartitionOperation]
     ) -> list["Transaction"]:
-        """Rank, chunk, and deploy migration operations (SOAP pipeline)."""
+        """Rank, chunk, and submit migration operations (SOAP pipeline)."""
         if not ops:
             return []
         self.migration_ops_planned += len(ops)
         specs = self.repartitioner.rank_plan(
             plan, self.profile, operations=ops
         )
-        specs = chunk_specs(specs, self.schedule.max_ops_per_txn)
-        rep = self.repartitioner
-        if rep.session is None:
-            session = rep.deploy(specs, self.scheduler_factory())
-            return list(session.rep_txns)
-        return rep.extend(specs)
+        return self.repartitioner.submit(
+            chunk_specs(specs, self.schedule.max_ops_per_txn)
+        )
 
     # ------------------------------------------------------------------
     # Interval hook: policy, pump, completion
@@ -426,9 +404,10 @@ class ElasticityController:
         under schedulers that never submit on their own (Piggyback) or
         find no idle time (AfterAll under load).
         """
-        session = self.repartitioner.session
-        if session is None or not transition.txns:
+        if not transition.txns:
             return
+        session = self.repartitioner.session
+        assert session is not None
         schedule = self.schedule
         age = self._intervals - transition.started_interval
         for txn in transition.txns:

@@ -77,8 +77,6 @@ class System:
     arrivals: PoissonArrivalProcess
     repartitioner: Repartitioner
     arrival_rate_txn_per_s: float
-    scheduler: Optional[Scheduler] = None
-    session: Optional[RepartitionSession] = None
     fault_injector: Optional[FaultInjector] = None
     elasticity_controller: Optional[ElasticityController] = None
 
@@ -264,23 +262,19 @@ def build_system(config: ExperimentConfig) -> System:
         streams.stream("arrivals"),
         horizon_s=horizon,
     )
-    repartitioner = Repartitioner(env, tm, router, metrics, cost_model)
+    normal_cost_hint = max(
+        rate * config.runtime.interval_s * config.cost.base_cost,
+        config.cost.base_cost,
+    )
+    repartitioner = Repartitioner(
+        env, tm, router, metrics, cost_model,
+        make_scheduler(config, normal_cost_hint),
+    )
 
     elasticity_controller = None
     if config.elasticity is not None and config.elasticity.enabled:
-        normal_cost_hint = max(
-            rate * config.runtime.interval_s * config.cost.base_cost,
-            config.cost.base_cost,
-        )
         elasticity_controller = ElasticityController(
-            cluster,
-            repartitioner,
-            profile,
-            config.elasticity,
-            scheduler_factory=(
-                lambda: make_scheduler(config, normal_cost_hint)
-            ),
-            fault_injector=fault_injector,
+            cluster, repartitioner, profile, config.elasticity
         )
         elasticity_controller.start()
     return System(
@@ -313,7 +307,6 @@ def start_repartitioning(
     system: System, spec_transform: Optional[SpecTransform] = None
 ) -> RepartitionSession:
     """Derive, rank, and begin deploying the repartition plan (now)."""
-    config = system.config
     # Plan against the post-transition node set: ACTIVE plus JOINING
     # partitions are placement targets, DRAINING/RETIRED are not.
     optimizer = RepartitionOptimizer(
@@ -326,27 +319,12 @@ def start_repartitioning(
     plan = optimizer.derive_plan(
         system.profile, system.router.store.current_epoch, types_to_fix
     )
-    normal_cost_hint = max(
-        system.arrival_rate_txn_per_s
-        * config.runtime.interval_s
-        * config.cost.base_cost,
-        config.cost.base_cost,
-    )
     specs = system.repartitioner.rank_plan(plan, system.profile)
     if spec_transform is not None:
         specs = spec_transform(specs)
-    if system.repartitioner.session is not None:
-        # An elasticity transition during warmup already opened the
-        # session (there is one scheduler slot); the workload plan joins
-        # it instead of deploying a second one.
-        system.repartitioner.extend(specs)
-        session = system.repartitioner.session
-        system.scheduler = system.repartitioner.scheduler
-    else:
-        scheduler = make_scheduler(config, normal_cost_hint)
-        session = system.repartitioner.deploy(specs, scheduler)
-        system.scheduler = scheduler
-    system.session = session
+    system.repartitioner.submit(specs)
+    session = system.repartitioner.session
+    assert session is not None
     return session
 
 
@@ -369,17 +347,16 @@ def run_experiment(
     horizon = warmup_s + interval_s * config.runtime.measure_intervals
     env.run(until=horizon + 1e-9)
 
-    session = system.session
-    completed_at = None
-    if session is not None and session.completed.triggered:
-        completed_at = session.completed.value
+    session = system.repartitioner.session
     intervals = system.metrics.intervals
     result = ExperimentResult(
         config=config,
         intervals=intervals,
         repartition_start_interval=config.runtime.warmup_intervals,
         rep_ops_total=system.metrics.rep_ops_total,
-        repartition_completed_at=completed_at,
+        repartition_completed_at=(
+            session.completed_at if session is not None else None
+        ),
         arrival_rate_txn_per_s=system.arrival_rate_txn_per_s,
     )
     result.summary = summarise(result.measured)

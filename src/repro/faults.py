@@ -30,6 +30,7 @@ lines up with the injected faults.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Optional
@@ -55,8 +56,10 @@ class FaultEvent:
     node_id: int
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ConfigError(f"fault time cannot be negative: {self.at_s}")
+        if not 0 <= self.at_s < math.inf:  # also refuses NaN
+            raise ConfigError(
+                f"fault time must be finite and >= 0: {self.at_s}"
+            )
         if self.action not in FAULT_ACTIONS:
             raise ConfigError(
                 f"unknown fault action {self.action!r}; "
@@ -84,14 +87,19 @@ class FaultScheduleConfig:
     def __post_init__(self) -> None:
         if (self.mtbf_s is None) != (self.mttr_s is None):
             raise ConfigError("mtbf and mttr must be given together")
-        if self.mtbf_s is not None and self.mtbf_s <= 0:
-            raise ConfigError(f"mtbf must be positive: {self.mtbf_s}")
-        if self.mttr_s is not None and self.mttr_s <= 0:
-            raise ConfigError(f"mttr must be positive: {self.mttr_s}")
-        if self.start_s < 0:
-            raise ConfigError("fault window start cannot be negative")
-        if self.end_s is not None and self.end_s <= self.start_s:
-            raise ConfigError("fault window must end after it starts")
+        # Chained comparisons so NaN (every comparison false) is refused.
+        if self.mtbf_s is not None and not 0 < self.mtbf_s < math.inf:
+            raise ConfigError(f"mtbf must be positive, finite: {self.mtbf_s}")
+        if self.mttr_s is not None and not 0 < self.mttr_s < math.inf:
+            raise ConfigError(f"mttr must be positive, finite: {self.mttr_s}")
+        if not 0 <= self.start_s < math.inf:
+            raise ConfigError("fault window start must be finite and >= 0")
+        if self.end_s is not None and not (
+            self.start_s < self.end_s < math.inf
+        ):
+            raise ConfigError(
+                "fault window must end, at a finite time, after it starts"
+            )
 
     @property
     def enabled(self) -> bool:
@@ -149,21 +157,6 @@ def _parse_stochastic(parts: list[str], text: str) -> FaultScheduleConfig:
         mttr_s=known["mttr"],
         start_s=known["start"] or 0.0,
         end_s=known["end"],
-    )
-
-
-def format_fault_schedule(schedule: FaultScheduleConfig) -> str:
-    """Inverse of :func:`parse_fault_schedule` (for display/round-trip)."""
-    if schedule.mtbf_s is not None:
-        parts = [f"mtbf={schedule.mtbf_s:g}", f"mttr={schedule.mttr_s:g}"]
-        if schedule.start_s:
-            parts.append(f"start={schedule.start_s:g}")
-        if schedule.end_s is not None:
-            parts.append(f"end={schedule.end_s:g}")
-        return ",".join(parts)
-    return ",".join(
-        f"{event.at_s:g}:{event.action}:{event.node_id}"
-        for event in schedule.events
     )
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from ..errors import PartitioningError
 from ..routing.epoch import MapView
-from ..types import PartitionId, TupleKey
+from ..types import PartitionId
 from ..workload.profile import WorkloadProfile
 from .operations import DeleteReplica, Migrate, RepartitionOperation
 from .plan import PartitionPlan
@@ -92,14 +92,6 @@ def plan_drain(
     return plan, operations
 
 
-def _key_heat(
-    key: TupleKey, profile: Optional[WorkloadProfile]
-) -> float:
-    if profile is None:
-        return 0.0
-    return sum(t.frequency for t in profile.key_index().get(key, ()))
-
-
 def plan_rebalance(
     epoch: MapView,
     joining: Sequence[PartitionId],
@@ -139,7 +131,8 @@ def plan_rebalance(
         replicas = tuple(epoch.replicas_of(key))
         if len(replicas) != 1 or replicas[0] in join_set:
             continue
-        candidates.append((_key_heat(key, profile), key, replicas[0]))
+        heat = profile.key_heat(key) if profile is not None else 0.0
+        candidates.append((heat, key, replicas[0]))
     candidates.sort(key=lambda item: (item[0], item[1]))
 
     ids = count()

@@ -35,9 +35,6 @@ class OptimizerConfig:
 
     #: Re-plan is triggered when estimated utilisation exceeds this.
     utilisation_threshold: float = 0.9
-    #: Only consider types whose cost actually improves (paper line 4 of
-    #: Algorithm 1 drops zero-benefit operations).
-    require_positive_benefit: bool = True
 
 
 class RepartitionOptimizer:
@@ -61,16 +58,18 @@ class RepartitionOptimizer:
     def should_repartition(
         self,
         arrival_rate_txn_per_s: float,
-        profile: WorkloadProfile,
-        current: MapView,
+        mean_cost: float,
         capacity_units_per_s: float,
     ) -> bool:
-        """Whether estimated utilisation breaches the threshold."""
+        """Whether estimated utilisation breaches the threshold.
+
+        ``mean_cost`` is the frequency-weighted mean cost per
+        transaction under the current map
+        (:meth:`CostModel.expected_cost_per_txn`, or the trigger loop's
+        incrementally cached equivalent).
+        """
         if capacity_units_per_s <= 0:
             raise ConfigError("capacity must be positive")
-        mean_cost = self.cost_model.expected_cost_per_txn(
-            profile.types, current
-        )
         utilisation = arrival_rate_txn_per_s * mean_cost / capacity_units_per_s
         return utilisation > self.config.utilisation_threshold
 

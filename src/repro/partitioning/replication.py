@@ -10,7 +10,9 @@ the hottest read-mostly tuples onto the least-loaded partitions (one
 :class:`CreateReplica` per new copy) and plans :class:`DeleteReplica`
 cleanups for tuples that are no longer hot.  The resulting operations
 are packaged into ranked specs directly (one repartition transaction
-per tuple), compatible with every SOAP scheduler.
+per tuple) and handed to
+:meth:`~repro.core.repartitioner.Repartitioner.submit` like any other
+plan's, so every SOAP scheduler can deploy them.
 """
 
 from __future__ import annotations
@@ -63,11 +65,9 @@ class ReadReplicationPlanner:
     # ------------------------------------------------------------------
     def hot_keys(self, profile: "WorkloadProfile") -> list[TupleKey]:
         """The hottest keys by summed accessing-type frequency."""
-        heat: dict[TupleKey, float] = {}
-        for ttype in profile.types:
-            for key in ttype.keys:
-                heat[key] = heat.get(key, 0.0) + ttype.frequency
-        ordered = sorted(heat, key=lambda k: (-heat[k], k))
+        ordered = sorted(
+            profile.key_index(), key=lambda k: (-profile.key_heat(k), k)
+        )
         take = max(1, int(len(ordered) * self.config.hot_fraction))
         return ordered[:take]
 
@@ -157,13 +157,12 @@ class ReadReplicationPlanner:
         specs = []
         for key, group in by_key.items():
             accessing = index.get(key, [])
-            heat = sum(t.frequency for t in accessing)
             type_id = accessing[0].type_id if accessing else -1
             specs.append(
                 RepartitionTransactionSpec(
                     ops=list(group),
                     type_id=type_id,
-                    benefit=heat,
+                    benefit=profile.key_heat(key),
                     cost=cost_model.rep_txn_cost(group),
                 )
             )

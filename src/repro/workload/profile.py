@@ -111,6 +111,10 @@ class WorkloadProfile:
             self._key_index = index
         return index
 
+    def key_heat(self, key: TupleKey) -> float:
+        """Summed frequency of the types touching ``key`` (0 if none)."""
+        return sum(t.frequency for t in self.key_index().get(key, ()))
+
     def position(self, type_id: int) -> int:
         """A type's position in profile iteration order.
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core import Repartitioner, generate_and_rank
+from repro.core import ApplyAllScheduler, Repartitioner, generate_and_rank
 from repro.core.session import RepartitionSession
 from repro.partitioning import PartitionPlan, diff_plan
 from repro.workload import TransactionType, WorkloadProfile
@@ -21,9 +21,12 @@ class CoreHarness:
     repartitioner: Repartitioner
 
     def session(self) -> RepartitionSession:
-        return RepartitionSession(
-            self.stack.env, self.stack.tm, self.stack.metrics, self.specs
+        """A bare session holding the ranked specs, no scheduler wired."""
+        session = RepartitionSession(
+            self.stack.env, self.stack.tm, self.stack.metrics
         )
+        session.add(self.specs)
+        return session
 
 
 def build_harness(n_types=4, frequencies=None, **stack_kwargs):
@@ -52,7 +55,8 @@ def build_harness(n_types=4, frequencies=None, **stack_kwargs):
     ops = diff_plan(stack.pmap, plan)
     specs = generate_and_rank(ops, plan, stack.pmap, profile, stack.cost_model)
     repartitioner = Repartitioner(
-        stack.env, stack.tm, stack.router, stack.metrics, stack.cost_model
+        stack.env, stack.tm, stack.router, stack.metrics, stack.cost_model,
+        ApplyAllScheduler(),
     )
     return CoreHarness(stack, profile, plan, specs, repartitioner)
 

@@ -9,7 +9,7 @@ from repro.core import (
     Repartitioner,
     WorkloadMonitor,
 )
-from repro.partitioning import RepartitionOptimizer
+from repro.partitioning import OptimizerConfig, RepartitionOptimizer
 from repro.routing import Query
 from repro.types import AccessMode
 
@@ -95,10 +95,12 @@ class TestAutoRepartitioner:
         monitor = WorkloadMonitor(stack.env, interval_s=20.0, table="t")
         repartitioner = Repartitioner(
             stack.env, stack.tm, stack.router, stack.metrics,
-            stack.cost_model,
+            stack.cost_model, ApplyAllScheduler(),
         )
         optimizer = RepartitionOptimizer(
-            stack.cost_model, stack.cluster.partition_ids
+            stack.cost_model,
+            stack.cluster.partition_ids,
+            OptimizerConfig(utilisation_threshold=threshold),
         )
         auto = AutoRepartitioner(
             repartitioner,
@@ -106,10 +108,7 @@ class TestAutoRepartitioner:
             optimizer,
             stack.metrics,
             capacity_units_per_s=stack.cluster.total_capacity_units_per_s,
-            scheduler_factory=ApplyAllScheduler,
-            config=AutoRepartitionerConfig(
-                utilisation_threshold=threshold, min_arrivals=1
-            ),
+            config=AutoRepartitionerConfig(min_arrivals=1),
         )
         return monitor, repartitioner, auto
 
@@ -118,7 +117,7 @@ class TestAutoRepartitioner:
         monitor, _repartitioner, auto = self.build(stack, threshold=0.5)
         monitor.observe(make_txn(stack, 1, (0, 1)))  # distributed type
         stack.env.run(until=45)
-        assert auto.sessions_started == 0
+        assert auto.plans_submitted == 0
 
     def test_trigger_deploys_observed_plan(self):
         stack = build_stack(capacity=1.0)  # tiny capacity -> overload
@@ -127,7 +126,7 @@ class TestAutoRepartitioner:
         for _ in range(30):
             monitor.observe(make_txn(stack, 1, (0, 1)))  # partitions 0,1
         stack.env.run(until=45)
-        assert auto.sessions_started == 1
+        assert auto.plans_submitted == 1
         stack.env.run(until=400)
         assert repartitioner.session is not None
         assert repartitioner.session.is_complete
@@ -141,10 +140,10 @@ class TestAutoRepartitioner:
         for _ in range(50):
             monitor.observe(make_txn(stack, 1, (0, 1)))
         stack.env.run(until=45)
-        first = auto.sessions_started
+        first = auto.plans_submitted
         # Keep the same pressure; no new distributed types exist, so no
         # further session may start even after the cooldown.
         for _ in range(50):
             monitor.observe(make_txn(stack, 1, (0, 1)))
         stack.env.run(until=300)
-        assert auto.sessions_started == first == 1
+        assert auto.plans_submitted == first == 1

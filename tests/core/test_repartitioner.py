@@ -1,8 +1,7 @@
 """Tests for the Repartitioner coordinator."""
 
-import pytest
-
-from repro.core import ApplyAllScheduler, HybridScheduler
+from repro.core.session import RepState
+from repro.types import Priority
 
 
 class TestRankPlan:
@@ -24,37 +23,72 @@ class TestRankPlan:
 
 
 class TestDeploy:
+    """``submit`` with the harness's ApplyAll-scheduled repartitioner."""
+
     def test_deploy_wires_scheduler_hooks(self, harness):
-        scheduler = ApplyAllScheduler()
-        session = harness.repartitioner.deploy(harness.specs, scheduler)
+        repartitioner = harness.repartitioner
+        scheduler = repartitioner.scheduler
+        metrics = harness.stack.metrics
+        # Nothing is wired before the first submit: the scheduler's
+        # interval hook must come after hooks registered in between.
+        assert repartitioner.session is None
+        assert harness.stack.tm.scheduler is not scheduler
+        assert scheduler.on_interval not in metrics.interval_observers
+        repartitioner.submit(harness.specs)
         assert harness.stack.tm.scheduler is scheduler
-        assert scheduler.on_interval in (
-            harness.stack.metrics.interval_observers
-        )
-        assert scheduler.session is session
+        assert metrics.interval_observers.count(scheduler.on_interval) == 1
+        assert scheduler.session is repartitioner.session
 
     def test_deploy_plan_end_to_end(self, harness):
-        session = harness.repartitioner.deploy_plan(
-            harness.plan, harness.profile, ApplyAllScheduler()
+        repartitioner = harness.repartitioner
+        repartitioner.submit(
+            repartitioner.rank_plan(harness.plan, harness.profile)
         )
         harness.stack.env.run(until=2000)
-        assert session.is_complete
+        assert repartitioner.session.is_complete
         for ttype in harness.profile.types:
             homes = {harness.stack.pmap.primary_of(k) for k in ttype.keys}
             assert len(homes) == 1
 
-    def test_second_concurrent_session_rejected(self, harness):
-        harness.repartitioner.deploy(harness.specs, ApplyAllScheduler())
-        with pytest.raises(RuntimeError, match="already active"):
-            harness.repartitioner.deploy(
-                harness.specs, HybridScheduler()
-            )
+    def test_submit_returns_the_new_transactions_in_spec_order(self, harness):
+        txns = harness.repartitioner.submit(harness.specs)
+        assert [t.rep_ops for t in txns] == [s.ops for s in harness.specs]
+        ids = [t.txn_id for t in txns]
+        assert ids == sorted(ids)
+        assert txns == harness.repartitioner.session.rep_txns
+
+    def test_second_submit_joins_the_running_session(self, harness):
+        repartitioner = harness.repartitioner
+        first = repartitioner.submit(harness.specs[:2])
+        session = repartitioner.session
+        second = repartitioner.submit(harness.specs[2:])
+        metrics = harness.stack.metrics
+        assert repartitioner.session is session
+        assert session.rep_txns == first + second
+        assert metrics.interval_observers.count(
+            repartitioner.scheduler.on_interval
+        ) == 1
+        # The scheduler admitted the newcomers like the first batch.
+        for txn in second:
+            assert session.state_of(txn.txn_id) is RepState.QUEUED
+            assert txn.priority is Priority.HIGH
+        assert metrics.rep_ops_total == sum(
+            len(s.ops) for s in harness.specs
+        )
 
     def test_new_session_allowed_after_completion(self, harness):
-        session = harness.repartitioner.deploy(
-            harness.specs, ApplyAllScheduler()
-        )
+        """Work submitted after completion re-opens the one session."""
+        repartitioner = harness.repartitioner
+        repartitioner.submit(harness.specs[:2])
         harness.stack.env.run(until=2000)
+        session = repartitioner.session
         assert session.is_complete
-        second = harness.repartitioner.deploy([], ApplyAllScheduler())
-        assert second.is_complete
+        first_done = session.completed_at
+        assert repartitioner.submit([]) == []
+        assert session.completed_at == first_done
+        repartitioner.submit(harness.specs[2:])
+        assert repartitioner.session is session
+        assert not session.is_complete and session.completed_at is None
+        harness.stack.env.run(until=4000)
+        assert session.is_complete
+        assert session.completed_at > first_done

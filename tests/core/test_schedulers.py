@@ -20,9 +20,11 @@ from .conftest import build_harness
 
 
 def bind(scheduler, harness):
+    """Wire ``scheduler`` to a session and let it admit the ranked plan."""
     session = harness.session()
     scheduler.bind(session)
     harness.stack.tm.scheduler = scheduler
+    scheduler.admit(session.rep_txns)
     return session
 
 
@@ -38,7 +40,6 @@ class TestApplyAll:
     def test_submits_everything_at_high_priority(self, harness):
         scheduler = ApplyAllScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         for rep in session.rep_txns:
             assert session.state_of(rep.txn_id) is RepState.QUEUED
             assert rep.priority is Priority.HIGH
@@ -46,7 +47,6 @@ class TestApplyAll:
     def test_deploys_fully(self, harness):
         scheduler = ApplyAllScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         harness.stack.env.run(until=1000)
         assert session.is_complete
         for ttype in harness.profile.types:
@@ -60,14 +60,12 @@ class TestAfterAll:
     def test_submits_everything_at_low_priority(self, harness):
         scheduler = AfterAllScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         for rep in session.rep_txns:
             assert rep.priority is Priority.LOW
 
     def test_completes_when_idle(self, harness):
         scheduler = AfterAllScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         harness.stack.env.run(until=1000)
         assert session.is_complete
 
@@ -76,7 +74,6 @@ class TestFeedback:
     def test_begin_uses_low_priority_baseline(self, harness):
         scheduler = FeedbackScheduler(FeedbackConfig())
         session = bind(scheduler, harness)
-        scheduler.begin()
         for rep in session.rep_txns:
             assert rep.priority is Priority.LOW
 
@@ -84,7 +81,6 @@ class TestFeedback:
         config = FeedbackConfig(setpoint=1.5, max_promotions_per_interval=2)
         scheduler = FeedbackScheduler(config)
         session = bind(scheduler, harness)
-        scheduler.begin()
         # PV starts at 1.0 (no rep cost): error = 0.5 -> ratio 0.5+0.5.
         scheduler.on_interval(record(normal_cost=10.0))
         promoted = [
@@ -101,7 +97,6 @@ class TestFeedback:
         )
         scheduler = FeedbackScheduler(config)
         session = bind(scheduler, harness)
-        scheduler.begin()
         scheduler.on_interval(record(normal_cost=1000.0))
         promoted = [
             rep for rep in session.rep_txns
@@ -113,7 +108,6 @@ class TestFeedback:
         config = FeedbackConfig(setpoint=1.05)
         scheduler = FeedbackScheduler(config)
         bind(scheduler, harness)
-        scheduler.begin()
         ratio_before = scheduler.ratio
         # Measured PV exactly at the setpoint: no adjustment.
         scheduler.on_interval(
@@ -124,7 +118,6 @@ class TestFeedback:
     def test_overshoot_reduces_ratio(self, harness):
         scheduler = FeedbackScheduler(FeedbackConfig(setpoint=1.05))
         bind(scheduler, harness)
-        scheduler.begin()
         before = scheduler.ratio
         scheduler.on_interval(record(normal_cost=100.0, rep_high=50.0))
         assert scheduler.ratio < before
@@ -132,7 +125,6 @@ class TestFeedback:
     def test_ratio_never_negative(self, harness):
         scheduler = FeedbackScheduler(FeedbackConfig(setpoint=1.01))
         bind(scheduler, harness)
-        scheduler.begin()
         for _ in range(5):
             scheduler.on_interval(
                 record(normal_cost=10.0, rep_high=100.0)
@@ -144,7 +136,6 @@ class TestFeedback:
                                 max_promotions_per_interval=10)
         scheduler = FeedbackScheduler(config)
         session = bind(scheduler, harness)
-        scheduler.begin()
         scheduler.on_interval(record(normal_cost=0.0))
         promoted = [
             rep for rep in session.rep_txns
@@ -159,7 +150,6 @@ class TestFeedback:
     def test_no_promotion_after_completion(self, harness):
         scheduler = FeedbackScheduler(FeedbackConfig(setpoint=2.0))
         session = bind(scheduler, harness)
-        scheduler.begin()
         harness.stack.env.run(until=2000)
         assert session.is_complete
         scheduler.on_interval(record())  # must be a no-op, not crash
@@ -169,7 +159,6 @@ class TestPiggyback:
     def test_begin_queues_nothing(self, harness):
         scheduler = PiggybackScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         assert len(harness.stack.tm.queue) == 0
         assert all(
             session.state_of(t.txn_id) is RepState.PENDING
@@ -179,7 +168,6 @@ class TestPiggyback:
     def test_benefiting_carrier_gets_ops(self, harness):
         scheduler = PiggybackScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         ttype = harness.profile.types[0]
         carrier = harness.stack.tm.create_normal(
             [harness.stack.write(k) for k in ttype.keys],
@@ -196,7 +184,6 @@ class TestPiggyback:
     def test_unrelated_carrier_untouched(self, harness):
         scheduler = PiggybackScheduler()
         bind(scheduler, harness)
-        scheduler.begin()
         carrier = harness.stack.tm.create_normal(
             [harness.stack.read(0)], type_id=None
         )
@@ -208,7 +195,6 @@ class TestPiggyback:
             PiggybackConfig(max_ops_per_carrier=1)
         )
         bind(scheduler, harness)
-        scheduler.begin()
         ttype = harness.profile.types[0]
         carrier = harness.stack.tm.create_normal(
             [harness.stack.read(k) for k in ttype.keys],
@@ -223,7 +209,6 @@ class TestPiggyback:
                                 max_attempts=3)
         scheduler = PiggybackScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         ttype = harness.profile.types[0]
         carrier = harness.stack.tm.create_normal(
             [harness.stack.write(k) for k in ttype.keys],
@@ -245,7 +230,6 @@ class TestHybrid:
     def test_begin_submits_low_baseline(self, harness):
         scheduler = HybridScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         for rep in session.rep_txns:
             assert session.state_of(rep.txn_id) is RepState.QUEUED
             assert rep.priority is Priority.LOW
@@ -253,7 +237,6 @@ class TestHybrid:
     def test_carrier_claims_from_queue(self, harness):
         scheduler = HybridScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         ttype = harness.profile.types[0]
         carrier = harness.stack.tm.create_normal(
             [harness.stack.write(k) for k in ttype.keys],
@@ -275,7 +258,6 @@ class TestHybrid:
                                 max_attempts=2)
         scheduler = HybridScheduler()
         session = bind(scheduler, harness)
-        scheduler.begin()
         ttype = harness.profile.types[0]
         carrier = harness.stack.tm.create_normal(
             [harness.stack.write(k) for k in ttype.keys],
@@ -293,7 +275,6 @@ class TestHybrid:
             FeedbackConfig(setpoint=1.5, normal_cost_hint=10.0)
         )
         session = bind(scheduler, harness)
-        scheduler.begin()
         harness.stack.metrics.interval_observers.append(
             scheduler.on_interval
         )

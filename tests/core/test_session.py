@@ -1,5 +1,7 @@
 """Tests for the repartition session's state machine."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,9 +40,33 @@ class TestInitialState:
         from repro.core.session import RepartitionSession
 
         session = RepartitionSession(
-            harness.stack.env, harness.stack.tm, harness.stack.metrics, []
+            harness.stack.env, harness.stack.tm, harness.stack.metrics
         )
-        assert session.completed.triggered
+        assert session.add([]) == []
+        assert session.is_complete
+        assert session.completed_at is None  # nothing ever finished
+
+    def test_first_spec_of_a_type_keeps_the_trep_slot(self, harness):
+        """Two specs benefiting one type: the higher-ranked one rides.
+
+        ``ReadReplicationPlanner.build_specs`` emits such lists (one
+        spec per tuple, typed by the tuple's first accessing type).
+        """
+        from repro.core.session import RepartitionSession
+
+        first, second = harness.specs[0], harness.specs[1]
+        same_type = dataclasses.replace(second, type_id=first.type_id)
+        session = RepartitionSession(
+            harness.stack.env, harness.stack.tm, harness.stack.metrics
+        )
+        session.add([first, same_type])
+        assert session.trep[first.type_id] is session.rep_txns[0]
+        # A later batch does not take the slot either.
+        session.add([same_type])
+        assert session.trep[first.type_id] is session.rep_txns[0]
+        # Once the holder is done the slot is free, not handed on.
+        session.complete(session.rep_txns[0].txn_id)
+        assert first.type_id not in session.trep
 
 
 class TestSubmission:
@@ -135,10 +161,11 @@ class TestCompletion:
 
     def test_completion_event_fires_when_all_done(self, harness):
         session = harness.session()
+        harness.stack.env.run(until=7.0)
         for rep in session.rep_txns:
-            assert not session.completed.triggered
+            assert session.completed_at is None
             session.complete(rep.txn_id)
-        assert session.completed.triggered
+        assert session.completed_at == 7.0
         assert session.is_complete
 
     def test_pending_lists_in_rank_order(self, harness):
@@ -179,7 +206,6 @@ class TestIncrementalBookkeeping:
     def test_counter_and_completion_track_a_recount(self, ops):
         harness = build_harness()
         session = harness.session()
-        arms = [session.completed]
         for op, pick in ops:
             rep = session.rep_txns[pick % len(session.rep_txns)]
             if op == "submit":
@@ -193,20 +219,16 @@ class TestIncrementalBookkeeping:
             elif op == "complete":
                 session.complete(rep.txn_id)
             elif op == "extend":
-                session.extend(harness.specs[: 1 + pick % 2])
-            if session.completed is not arms[-1]:
-                arms.append(session.completed)
+                session.add(harness.specs[: 1 + pick % 2])
             unfinished = sum(
                 session.state_of(t.txn_id) is not RepState.DONE
                 for t in session.rep_txns
             )
             assert session.unfinished_count() == unfinished
             assert session.is_complete == (unfinished == 0)
-            # Every arm but the last fired before it was replaced; the
-            # live one fires exactly when the recount reaches zero
-            # (``Event.succeed`` raises on a second firing).
-            assert all(arm.triggered for arm in arms[:-1])
-            assert arms[-1].triggered == (unfinished == 0)
+            # The completion time is set exactly while nothing is
+            # outstanding, and cleared again by every non-empty add.
+            assert (session.completed_at is not None) == (unfinished == 0)
             for txn in session.rep_txns:
                 assert session.rep_txn(txn.txn_id) is txn
         assert session.rep_txn(-1) is None

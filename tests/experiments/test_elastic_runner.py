@@ -10,8 +10,6 @@ between serial and parallel execution and through the result cache.
 
 import dataclasses
 
-import pytest
-
 from repro.cluster import ClusterConfig, NodeState
 from repro.elasticity import parse_elasticity_schedule
 from repro.experiments import (
@@ -130,11 +128,14 @@ class TestScaleOutIn:
 
     def test_elasticity_before_warmup_end_shares_session(self):
         # The add fires at t=10 s, before the warmup boundary at 20 s:
-        # the controller opens the session and the workload plan joins
-        # it via extend() instead of deploying a second one.
+        # the controller's submit opens the session and the workload
+        # plan's submit joins it.
         system = run_system(elastic_config(schedule="10:add:1"))
-        assert system.session is system.repartitioner.session
-        assert system.scheduler is system.repartitioner.scheduler
+        session = system.repartitioner.session
+        transition = system.elasticity_controller._transitions[0]
+        assert transition.txns == session.rep_txns[: len(transition.txns)]
+        assert len(session.rep_txns) > len(transition.txns) > 0
+        assert system.tm.scheduler is system.repartitioner.scheduler
         assert system.metrics.intervals[-1].committed > 0
 
     def test_draining_skips_non_active_nodes(self):

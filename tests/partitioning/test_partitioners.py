@@ -127,10 +127,12 @@ class TestRepartitionOptimizer:
         profile = make_profile(n_types=2)
         partitions = [0, 1]
         pmap = spread_map(profile, partitions)
-        optimizer = RepartitionOptimizer(CostModel(), partitions)
+        cost_model = CostModel()
+        optimizer = RepartitionOptimizer(cost_model, partitions)
         # all types distributed -> expected cost 2; capacity 10
-        assert optimizer.should_repartition(10.0, profile, pmap, 10.0)
-        assert not optimizer.should_repartition(1.0, profile, pmap, 10.0)
+        mean_cost = cost_model.expected_cost_per_txn(profile.types, pmap)
+        assert optimizer.should_repartition(10.0, mean_cost, 10.0)
+        assert not optimizer.should_repartition(1.0, mean_cost, 10.0)
 
 
 class TestGraphPartitioner:

@@ -149,11 +149,11 @@ class TestEndToEnd:
         specs = planner.build_specs(ops, profile, stack.cost_model)
         repartitioner = Repartitioner(
             stack.env, stack.tm, stack.router, stack.metrics,
-            stack.cost_model,
+            stack.cost_model, ApplyAllScheduler(),
         )
-        session = repartitioner.deploy(specs, ApplyAllScheduler())
+        repartitioner.submit(specs)
         stack.env.run(until=1000)
-        assert session.is_complete
+        assert repartitioner.session.is_complete
         for key in (0, 1):
             replicas = stack.pmap.replicas_of(key)
             assert len(replicas) == 2

@@ -10,7 +10,6 @@ from repro.faults import (
     FaultEvent,
     FaultInjector,
     FaultScheduleConfig,
-    format_fault_schedule,
     parse_fault_schedule,
 )
 
@@ -60,20 +59,17 @@ class TestParsing:
         "120:crash:2,mtbf=300",      # mixed grammars
         "mtbf=300,mttr=30,start=50,end=40",  # window ends before start
         "-5:crash:2",                # negative time
+        "nan:crash:1",               # every `<` guard is false for NaN
+        "inf:crash:1",               # never happens
+        "mtbf=nan,mttr=1",
+        "mtbf=inf,mttr=1",
+        "mtbf=3,mttr=nan",
+        "mtbf=3,mttr=1,start=nan",
+        "mtbf=3,mttr=1,end=inf",
     ])
     def test_malformed_raises_config_error(self, text):
         with pytest.raises(ConfigError):
             parse_fault_schedule(text)
-
-    @pytest.mark.parametrize("text", [
-        "120:crash:2,180:restart:2",
-        "mtbf=300,mttr=30",
-        "mtbf=300,mttr=30,start=100,end=900",
-    ])
-    def test_format_round_trips(self, text):
-        assert parse_fault_schedule(format_fault_schedule(
-            parse_fault_schedule(text)
-        )) == parse_fault_schedule(text)
 
     def test_empty_schedule_disabled(self):
         assert not FaultScheduleConfig().enabled
