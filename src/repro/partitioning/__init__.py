@@ -9,12 +9,7 @@ from .operations import (
     RepartitionOperation,
 )
 from .optimizer import OptimizerConfig, RepartitionOptimizer
-from .plan import (
-    PartitionPlan,
-    deltas_for_operations,
-    diff_plan,
-    plan_from_map,
-)
+from .plan import PartitionPlan, diff_plan, plan_from_map
 from .replication import ReadReplicationPlanner, ReplicationConfig
 from .static_partitioners import HashPartitioner, RangePartitioner
 
@@ -34,7 +29,6 @@ __all__ = [
     "ReplicationConfig",
     "RepartitionOperation",
     "RepartitionOptimizer",
-    "deltas_for_operations",
     "diff_plan",
     "plan_from_map",
 ]

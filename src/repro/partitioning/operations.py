@@ -11,16 +11,27 @@ The paper's optimizer emits three operation types (§2.2):
   source.
 
 Each operation carries a mutable ``benefit`` accumulator filled in by
-Algorithm 1 (see :mod:`repro.core.ranking`).
+Algorithm 1 (see :mod:`repro.core.ranking`), and answers the two
+per-kind questions the executor asks of a placement view — at staging
+time against the published epoch, at commit against its stage overlay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Protocol, Sequence
 
 from ..errors import PartitioningError
 from ..types import PartitionId, TupleKey
+
+
+class ReplicaView(Protocol):
+    """A placement to judge an operation against: a partition map, a
+    published epoch and an uncommitted stage overlay all qualify."""
+
+    def replicas_of(self, key: TupleKey) -> Sequence[PartitionId]: ...
+
+    def primary_of(self, key: TupleKey) -> PartitionId: ...
 
 
 @dataclass
@@ -40,6 +51,14 @@ class RepartitionOperation:
     def kind(self) -> str:
         """Short operation-kind tag for logs and reports."""
         raise NotImplementedError
+
+    def applied_in(self, view: ReplicaView) -> bool:
+        """Whether ``view`` already shows this operation's effect."""
+        raise NotImplementedError
+
+    def partitions_in(self, view: ReplicaView) -> frozenset[PartitionId]:
+        """Partitions that execute this operation given ``view``."""
+        return self.partitions_touched
 
 
 @dataclass
@@ -64,6 +83,9 @@ class CreateReplica(RepartitionOperation):
     def kind(self) -> str:
         return "create-replica"
 
+    def applied_in(self, view: ReplicaView) -> bool:
+        return self.destination in view.replicas_of(self.key)
+
 
 @dataclass
 class DeleteReplica(RepartitionOperation):
@@ -78,6 +100,9 @@ class DeleteReplica(RepartitionOperation):
     @property
     def kind(self) -> str:
         return "delete-replica"
+
+    def applied_in(self, view: ReplicaView) -> bool:
+        return self.partition not in view.replicas_of(self.key)
 
 
 @dataclass
@@ -101,6 +126,14 @@ class Migrate(RepartitionOperation):
     @property
     def kind(self) -> str:
         return "migrate"
+
+    def applied_in(self, view: ReplicaView) -> bool:
+        return view.primary_of(self.key) == self.destination
+
+    def partitions_in(self, view: ReplicaView) -> frozenset[PartitionId]:
+        # The planned source may be stale: the move starts from wherever
+        # the primary lives now.
+        return frozenset((view.primary_of(self.key), self.destination))
 
 
 def keys_of(operations: Iterator[RepartitionOperation]) -> set[TupleKey]:

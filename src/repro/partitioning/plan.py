@@ -7,26 +7,18 @@ placement — a mutable :class:`~repro.routing.partition_map.PartitionMap`
 or, preferably, an immutable :class:`~repro.routing.epoch.MapEpoch`
 snapshot so the diff is computed against one consistent map version —
 and emits the repartition operations needed to realise it.
-:func:`deltas_for_operations` expresses those operations as the
-canonical :class:`~repro.routing.epoch.MapDelta` records the
-:class:`~repro.routing.epoch.PartitionMapStore` publishes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from ..errors import PartitioningError
-from ..routing.epoch import MapDelta, MapView
+from ..routing.epoch import MapView
 from ..types import PartitionId, TupleKey
-from .operations import (
-    CreateReplica,
-    DeleteReplica,
-    Migrate,
-    RepartitionOperation,
-)
+from .operations import Migrate, RepartitionOperation
 
 
 @dataclass
@@ -100,59 +92,3 @@ def plan_from_map(current: MapView) -> PartitionPlan:
     for key in current.keys():
         plan.assign(key, current.primary_of(key))
     return plan
-
-
-def deltas_for_operations(
-    current: MapView, operations: Sequence[RepartitionOperation]
-) -> list[MapDelta]:
-    """Express repartition operations as canonical map deltas.
-
-    Each delta captures the full replica tuple ``before`` → ``after``
-    against ``current`` (with earlier operations of the same sequence
-    already applied), which is exactly what a
-    :class:`~repro.routing.epoch.PartitionMapStore` stage publishes —
-    useful for previewing an epoch transition without touching the map.
-    """
-    pending: dict[TupleKey, tuple[PartitionId, ...]] = {}
-
-    def replicas(key: TupleKey) -> tuple[PartitionId, ...]:
-        return pending.get(key, tuple(current.replicas_of(key)))
-
-    for op in operations:
-        before = replicas(op.key)
-        if isinstance(op, Migrate):
-            if op.source not in before or op.destination in before:
-                raise PartitioningError(
-                    f"migration of tuple {op.key} does not apply to "
-                    f"replicas {before}"
-                )
-            after = tuple(
-                op.destination if pid == op.source else pid
-                for pid in before
-            )
-        elif isinstance(op, CreateReplica):
-            if op.destination in before:
-                raise PartitioningError(
-                    f"tuple {op.key} already has a replica on partition "
-                    f"{op.destination}"
-                )
-            after = before + (op.destination,)
-        elif isinstance(op, DeleteReplica):
-            if op.partition not in before or len(before) == 1:
-                raise PartitioningError(
-                    f"replica deletion of tuple {op.key} does not apply "
-                    f"to replicas {before}"
-                )
-            after = tuple(pid for pid in before if pid != op.partition)
-        else:  # pragma: no cover - future op kinds
-            raise PartitioningError(f"unknown operation {op!r}")
-        pending[op.key] = after
-
-    return [
-        MapDelta(
-            key=key,
-            before=tuple(current.replicas_of(key)),
-            after=after,
-        )
-        for key, after in sorted(pending.items())
-    ]

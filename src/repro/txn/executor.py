@@ -6,9 +6,9 @@ simulation process implementing strict two-phase locking:
 1. route each query, acquire the tuple lock (S for reads, X for writes)
    at the owning node, and charge the query's work to that node;
 2. execute any repartition operations the transaction carries (its own,
-   if it is a repartition transaction, or piggybacked ones) — locking at
-   source *and* destination, charging copy work, and moving bytes across
-   the network;
+   if it is a repartition transaction, or piggybacked ones) that survive
+   the staging-time check — locking at source *and* destination,
+   charging copy work, and moving bytes across the network;
 3. run two-phase commit when more than one partition participated;
 4. on commit, apply deferred effects (tuple deletions at migration
    sources, partition-map updates) and release all locks;
@@ -24,7 +24,7 @@ the extra work is exactly the overhead the repartition plan removes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..cluster.cluster import Cluster
@@ -58,6 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Node id used for the coordinator (the query-router/TM machine).
 COORDINATOR_NODE_ID = -1
+
+#: The two op kinds that copy a tuple, and the lock each takes on its
+#: current primary: exclusive to move it away, shared to replicate it.
+_SOURCE_LOCK = {Migrate: LockMode.EXCLUSIVE, CreateReplica: LockMode.SHARED}
 
 
 @dataclass(frozen=True)
@@ -149,6 +153,34 @@ class _Journal:
         self._begun.clear()
 
 
+@dataclass(eq=False, slots=True)
+class _Attempt:
+    """Everything one execution attempt of one transaction accumulates."""
+
+    txn: Transaction
+    #: The epoch queries route against: the pinned one under the "abort"
+    #: policy, so map churn surfaces as a stale-route abort; ``None``
+    #: (the live epoch, then forward) under "follow".
+    routing_epoch: Optional[MapEpoch]
+    journal: _Journal
+    #: Nodes locked or charged so far (2PC participants, lock release).
+    touched: set[DataNode] = field(default_factory=set)
+    #: ``(node, key, before)`` per applied change, oldest first: ``before``
+    #: is the overwritten ``(value, version)``, or ``None`` for a replica
+    #: this attempt inserted.
+    undo: list[tuple[DataNode, int, Optional[tuple[int, int]]]] = field(
+        default_factory=list
+    )
+    #: (key, partition) pairs reads actually used, for the commit-time
+    #: stale check under the "abort" policy.
+    read_routes: list[tuple[int, PartitionId]] = field(default_factory=list)
+    #: The carried operations that survived the staging-time check.
+    ops: list[RepartitionOperation] = field(default_factory=list)
+    #: Their map changes accumulate here and publish atomically at
+    #: commit; opened only when ``ops`` is non-empty.
+    stage: Optional[EpochStage] = None
+
+
 class TransactionExecutor:
     """Executes transactions against the simulated cluster."""
 
@@ -168,6 +200,7 @@ class TransactionExecutor:
         self.cost_model = cost_model
         self.twopc = two_phase_commit
         self.config = config or ExecutorConfig()
+        self._abort_on_stale = self.config.stale_route_policy == "abort"
         self._rng = rng
         if self.config.rep_op_failure_probability > 0 and rng is None:
             raise ValueError("rep-op failure injection requires an rng")
@@ -187,68 +220,58 @@ class TransactionExecutor:
         """
         txn.started_at = self.env.now
         txn.status = TxnStatus.RUNNING
-        touched_nodes: set[DataNode] = set()
-        undo_log: list[tuple[str, DataNode, int, int, int]] = []
-        journal = _Journal(txn)
         store = self.router.store
         # Pin the map epoch the transaction was admitted under: routing
         # decisions can be validated (and, under the "abort" policy,
         # enforced) against this snapshot for the whole attempt.
         pinned = store.pin()
-        txn.pinned_epoch_id = pinned.epoch_id
-        stage: Optional[EpochStage] = None
-        #: (key, partition) pairs reads actually used, for the commit-time
-        #: stale check under the "abort" policy.
-        read_routes: list[tuple[int, PartitionId]] = []
+        routing_epoch = pinned if self._abort_on_stale else None
+        attempt = _Attempt(txn, routing_epoch, _Journal(txn))
+        touched = attempt.touched
 
         try:
             query_partitions = self.router.partitions_for(
-                txn.queries, self._routing_epoch(pinned)
+                txn.queries, routing_epoch
             )
-            effective_ops = self._effective_ops(txn)
-            if effective_ops:
-                # All map changes of this transaction accumulate in one
-                # stage, published atomically at commit.
-                stage = store.begin_stage(owner=txn.txn_id)
-            op_partitions: set[PartitionId] = set()
-            for op in effective_ops:
-                op_partitions.update(self._op_partitions(op))
-            all_partitions = set(query_partitions) | op_partitions
+            all_partitions = query_partitions | self._stage_ops(attempt)
 
             per_query_work = 0.0
             if txn.queries:
                 total = self.cost_model.txn_cost(max(1, len(query_partitions)))
                 per_query_work = total / len(txn.queries)
 
-            if self.config.per_txn_overhead_units > 0 and all_partitions:
+            overhead = self.config.per_txn_overhead_units
+            if overhead > 0 and all_partitions:
                 overhead_node = self.cluster.node_for_partition(
                     min(all_partitions)
                 )
-                touched_nodes.add(overhead_node)
-                yield from overhead_node.work(
-                    self.config.per_txn_overhead_units
-                )
+                touched.add(overhead_node)
+                yield from overhead_node.work(overhead)
                 if txn.is_normal:
-                    txn.normal_cost_units += self.config.per_txn_overhead_units
+                    txn.normal_cost_units += overhead
                 else:
-                    txn.rep_cost_units += self.config.per_txn_overhead_units
+                    txn.rep_cost_units += overhead
 
             for query in txn.queries:
-                yield from self._execute_query(
-                    txn, query, per_query_work, touched_nodes, undo_log,
-                    journal, pinned, read_routes,
-                )
+                yield from self._execute_query(attempt, query, per_query_work)
 
-            for op in effective_ops:
-                assert stage is not None
-                yield from self._execute_rep_op(
-                    txn, op, stage, touched_nodes, undo_log, journal
-                )
+            for op in attempt.ops:
+                assert attempt.stage is not None
+                # The tuple enters MOVING for the stage's lifetime: its
+                # placement is being changed by an uncommitted transaction,
+                # and the mark is dropped with the stage on abort.
+                attempt.stage.mark_moving(op.key)
+                source_lock = _SOURCE_LOCK.get(type(op))
+                if source_lock is None:
+                    yield from self._execute_delete(attempt, op)
+                else:
+                    yield from self._copy_tuple(attempt, op, source_lock)
+                self._maybe_inject_failure(txn, op)
 
             # Commit across the partitions actually touched (re-routing
             # after concurrent migrations can differ from the initial
             # estimate in ``all_partitions``).
-            commit_partitions = {node.partition_id for node in touched_nodes}
+            commit_partitions = {node.partition_id for node in touched}
             commit_partitions |= all_partitions
             if len(commit_partitions) > 1:
                 participants = [
@@ -272,26 +295,28 @@ class TransactionExecutor:
             # have crashed while this transaction was busy elsewhere (or
             # right after voting YES).  No COMMIT record has been logged
             # yet, so aborting here is still safe on every node.
-            self._check_touched_alive(txn, touched_nodes)
+            down = sorted(node.node_id for node in touched if node.is_down)
+            if down:
+                raise NodeDownError(down[0], txn.txn_id)
 
             # Commit-time stale check: under read_committed a read lock
             # is released early, so a migration may have invalidated the
             # partition the read used while this transaction ran.
-            if self.config.stale_route_policy == "abort":
+            if self._abort_on_stale:
                 current = store.current_epoch
-                for key, pid in read_routes:
+                for key, pid in attempt.read_routes:
                     if pid not in current.replicas_of(key):
                         raise StaleRouteAbort(txn.txn_id, key, pid)
 
-            self._apply_commit_effects(txn, effective_ops, stage, journal)
-            journal.close(committed=True)
+            self._apply_commit_effects(attempt)
+            attempt.journal.close(committed=True)
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
             return True
 
         except TransactionAborted as abort:
-            self._undo(undo_log)
-            journal.close(committed=False)
+            self._undo(attempt)
+            attempt.journal.close(committed=False)
             txn.status = TxnStatus.ABORTED
             txn.abort_reason = abort.reason
             txn.abort_cause = abort.cause
@@ -301,42 +326,29 @@ class TransactionExecutor:
             # An unpublished stage (abort, crash, injected fault) is
             # dropped cleanly: its MOVING marks vanish and the published
             # map never sees it.
+            stage = attempt.stage
             if stage is not None and not stage.published:
                 store.discard(stage)
             store.unpin(pinned)
             # Release in node-id order: iterating the set directly would
             # make lock-grant order (and thus the whole run) depend on
             # object identity, breaking determinism across runs.
-            for node in sorted(touched_nodes, key=lambda n: n.node_id):
+            for node in sorted(touched, key=lambda n: n.node_id):
                 node.locks.release_all(txn.txn_id)
 
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def _routing_epoch(self, pinned: MapEpoch) -> Optional[MapEpoch]:
-        """The epoch queries route against (None = always-current).
-
-        The "abort" policy routes from the transaction's pinned snapshot
-        so concurrent map churn surfaces as a stale-route abort; the
-        "follow" policy routes from the live current epoch and forwards.
-        """
-        if self.config.stale_route_policy == "abort":
-            return pinned
-        return None
-
     def _execute_query(
-        self,
-        txn: Transaction,
-        query: Query,
-        work_units: float,
-        touched_nodes: set[DataNode],
-        undo_log: list[tuple[str, DataNode, int, int, int]],
-        journal: _Journal,
-        pinned: MapEpoch,
-        read_routes: list[tuple[int, PartitionId]],
+        self, attempt: _Attempt, query: Query, work_units: float
     ) -> Generator[Event, Any, None]:
-        abort_on_stale = self.config.stale_route_policy == "abort"
-        routing_epoch = self._routing_epoch(pinned)
+        txn = attempt.txn
+        touched = attempt.touched
+        routing_epoch = attempt.routing_epoch
+        abort_on_stale = self._abort_on_stale
+        router = self.router
+        node_for_partition = self.cluster.node_for_partition
+        key = query.key
         if query.mode is AccessMode.READ:
             # Route, lock, then re-validate: a concurrent migration may
             # commit between the routing decision and the lock grant, in
@@ -345,68 +357,83 @@ class TransactionExecutor:
             # "abort" policy, surface the stale route as a retryable
             # abort instead of silently chasing the tuple.
             while True:
-                pid = self.router.route_read(query.key, routing_epoch)
-                node = self.cluster.node_for_partition(pid)
-                touched_nodes.add(node)
-                yield from self._lock(txn, node, query.key, LockMode.SHARED)
-                current = self.router.store.current_epoch
-                if pid in current.replicas_of(query.key):
+                pid = router.route_read(key, routing_epoch)
+                node = node_for_partition(pid)
+                touched.add(node)
+                yield from self._lock(txn, node, key, LockMode.SHARED)
+                if pid in router.store.current_epoch.replicas_of(key):
                     break
                 if abort_on_stale:
-                    raise StaleRouteAbort(txn.txn_id, query.key, pid)
-                self.router.note_forwarded_read(query.key)
+                    raise StaleRouteAbort(txn.txn_id, key, pid)
+                router.note_forwarded_read(key)
             if abort_on_stale:
-                read_routes.append((query.key, pid))
+                attempt.read_routes.append((key, pid))
             yield from node.work(work_units)
             txn.normal_cost_units += work_units
             # A crash at the instant the work event fired cannot revoke
             # it; re-check before reading the (possibly wiped) store.
             if node.is_down:
                 raise NodeDownError(node.node_id, txn.txn_id)
-            node.store.read(query.key)
+            node.store.read(key)
             if self.config.isolation == "read_committed":
                 # Reads do not hold their lock to commit: the shared lock
                 # acted only as a latch ordering the read after any
                 # in-flight write of the same tuple.
-                node.locks.release(txn.txn_id, query.key)
+                node.locks.release(txn.txn_id, key)
             return
 
         while True:
-            replica_pids = self.router.route_write(query.key, routing_epoch)
+            replica_pids = router.route_write(key, routing_epoch)
             for pid in replica_pids:
-                node = self.cluster.node_for_partition(pid)
-                touched_nodes.add(node)
-                yield from self._lock(
-                    txn, node, query.key, LockMode.EXCLUSIVE
-                )
-            current = self.router.store.current_epoch.replicas_of(query.key)
+                node = node_for_partition(pid)
+                touched.add(node)
+                yield from self._lock(txn, node, key, LockMode.EXCLUSIVE)
+            current = router.store.current_epoch.replicas_of(key)
             if set(current) <= set(replica_pids):
                 replica_pids = current
                 break
             if abort_on_stale:
-                raise StaleRouteAbort(
-                    txn.txn_id, query.key, replica_pids[0]
-                )
-        primary_node = self.cluster.node_for_partition(replica_pids[0])
+                raise StaleRouteAbort(txn.txn_id, key, replica_pids[0])
         # Work is charged at the primary; replica maintenance is free in
         # the model (the paper evaluates single-replica placements).
-        yield from primary_node.work(work_units)
+        yield from node_for_partition(replica_pids[0]).work(work_units)
         txn.normal_cost_units += work_units
         assert query.value is not None
         for pid in replica_pids:
-            node = self.cluster.node_for_partition(pid)
+            node = node_for_partition(pid)
             if node.is_down:
                 raise NodeDownError(node.node_id, txn.txn_id)
-            record = node.store.get(query.key)
-            undo_log.append(
-                ("write", node, query.key, record.value, record.version)
-            )
+            record = node.store.get(key)
+            attempt.undo.append((node, key, (record.value, record.version)))
             record.write(query.value)
-            journal.write(node, query.key, query.value)
+            attempt.journal.write(node, key, query.value)
 
     # ------------------------------------------------------------------
     # Repartition-operation execution
     # ------------------------------------------------------------------
+    def _stage_ops(self, attempt: _Attempt) -> set[PartitionId]:
+        """The one staging-time check: report and drop every carried op
+        the current epoch shows as already applied, or that can never
+        apply (it copies onto a node that has since RETIRED; the planner
+        re-plans the tuple).  Opens the stage for the survivors and
+        returns the partitions they touch under the current epoch."""
+        txn = attempt.txn
+        store = self.router.store
+        epoch = store.current_epoch
+        partitions: set[PartitionId] = set()
+        for op in txn.rep_ops:
+            if op.applied_in(epoch) or (
+                type(op) in _SOURCE_LOCK
+                and self.cluster.node_for_partition(op.destination).retired
+            ):
+                self._report_applied(op, txn)
+            else:
+                attempt.ops.append(op)
+                partitions |= op.partitions_in(epoch)
+        if attempt.ops:
+            attempt.stage = store.begin_stage(owner=txn.txn_id)
+        return partitions
+
     def _op_work(self, txn: Transaction) -> float:
         """Work units for one repartition op in ``txn``'s context.
 
@@ -418,90 +445,29 @@ class TransactionExecutor:
             return self.cost_model.piggybacked_op_cost()
         return self.cost_model.rep_op_cost
 
-    def _effective_ops(self, txn: Transaction) -> list[RepartitionOperation]:
-        """Drop operations that the current epoch shows as already applied."""
-        effective = []
-        pmap = self.router.store.current_epoch
-        for op in txn.rep_ops:
-            if isinstance(op, Migrate):
-                if pmap.primary_of(op.key) == op.destination:
-                    self._report_applied(op, txn)
-                    continue
-            elif isinstance(op, CreateReplica):
-                if op.destination in pmap.replicas_of(op.key):
-                    self._report_applied(op, txn)
-                    continue
-            elif isinstance(op, DeleteReplica):
-                if op.partition not in pmap.replicas_of(op.key):
-                    self._report_applied(op, txn)
-                    continue
-            effective.append(op)
-        return effective
-
-    def _op_partitions(self, op: RepartitionOperation) -> frozenset[PartitionId]:
-        """Partitions an operation touches *under the current epoch*."""
-        pmap = self.router.store.current_epoch
-        if isinstance(op, Migrate):
-            return frozenset((pmap.primary_of(op.key), op.destination))
-        return op.partitions_touched
-
-    def _execute_rep_op(
-        self,
-        txn: Transaction,
-        op: RepartitionOperation,
-        stage: EpochStage,
-        touched_nodes: set[DataNode],
-        undo_log: list[tuple[str, DataNode, int, int, int]],
-        journal: _Journal,
+    def _copy_tuple(
+        self, attempt: _Attempt, op: Migrate | CreateReplica, lock: LockMode
     ) -> Generator[Event, Any, None]:
-        # The tuple enters MOVING for the stage's lifetime: its placement
-        # is being changed by an uncommitted transaction, and the mark is
-        # dropped with the stage if that transaction aborts.
-        stage.mark_moving(op.key)
-        if isinstance(op, Migrate):
-            yield from self._execute_move(
-                txn, op, op.key, op.destination, touched_nodes, undo_log,
-                journal,
-            )
-        elif isinstance(op, CreateReplica):
-            yield from self._execute_copy(
-                txn, op, op.key, op.destination, touched_nodes, undo_log,
-                journal,
-            )
-        elif isinstance(op, DeleteReplica):
-            yield from self._execute_delete(
-                txn, op, op.key, op.partition, touched_nodes
-            )
-        else:  # pragma: no cover - future op kinds
-            raise TransactionAborted(
-                txn.txn_id, f"unknown repartition operation {op!r}"
-            )
-        self._maybe_inject_failure(txn, op)
-
-    def _execute_move(
-        self,
-        txn: Transaction,
-        op: RepartitionOperation,
-        key: int,
-        destination: PartitionId,
-        touched_nodes: set[DataNode],
-        undo_log: list[tuple[str, DataNode, int, int, int]],
-        journal: _Journal,
-    ) -> Generator[Event, Any, None]:
-        dest_node = self.cluster.node_for_partition(destination)
+        """The copy a ``Migrate`` and a ``CreateReplica`` both start with;
+        what becomes of the source copy is a commit effect."""
+        txn = attempt.txn
+        key = op.key
+        store = self.router.store
+        dest_node = self.cluster.node_for_partition(op.destination)
+        # Lock, then re-validate: the primary may move between lookup and
+        # grant.  A stale lap's locks are harmless, released at the end.
         while True:
-            source = self.router.store.current_epoch.primary_of(key)
+            source = store.current_epoch.primary_of(key)
             source_node = self.cluster.node_for_partition(source)
-            touched_nodes.update((source_node, dest_node))
-            yield from self._lock(txn, source_node, key, LockMode.EXCLUSIVE)
+            attempt.touched.update((source_node, dest_node))
+            yield from self._lock(txn, source_node, key, lock)
             yield from self._lock(txn, dest_node, key, LockMode.EXCLUSIVE)
-            if self.router.store.current_epoch.primary_of(key) == source:
+            if store.current_epoch.primary_of(key) == source:
                 break
 
         half_work = self._op_work(txn) / 2
         yield from source_node.work(half_work)
         txn.rep_cost_units += half_work
-
         # A crash at the very instant the work event fired cannot revoke
         # it (the event already succeeded), so the resumed process would
         # read a wiped store: re-check before touching volatile state.
@@ -519,59 +485,16 @@ class TransactionExecutor:
         if key not in dest_node.store:
             copy = record.copy()
             dest_node.store.insert(copy)
-            undo_log.append(("insert", dest_node, key, 0, 0))
-            journal.insert(dest_node, copy)
-
-    def _execute_copy(
-        self,
-        txn: Transaction,
-        op: RepartitionOperation,
-        key: int,
-        destination: PartitionId,
-        touched_nodes: set[DataNode],
-        undo_log: list[tuple[str, DataNode, int, int, int]],
-        journal: _Journal,
-    ) -> Generator[Event, Any, None]:
-        source = self.router.store.current_epoch.primary_of(key)
-        source_node = self.cluster.node_for_partition(source)
-        dest_node = self.cluster.node_for_partition(destination)
-        touched_nodes.update((source_node, dest_node))
-
-        yield from self._lock(txn, source_node, key, LockMode.SHARED)
-        yield from self._lock(txn, dest_node, key, LockMode.EXCLUSIVE)
-
-        half_work = self._op_work(txn) / 2
-        yield from source_node.work(half_work)
-        txn.rep_cost_units += half_work
-        # Same-instant crash cannot revoke an already-fired work event;
-        # re-check before reading the (possibly wiped) store.
-        if source_node.is_down:
-            raise NodeDownError(source_node.node_id, txn.txn_id)
-        record = source_node.store.get(key)
-        yield from self.cluster.network.transfer(
-            source_node.node_id, dest_node.node_id, record.size_bytes
-        )
-        yield from dest_node.work(half_work)
-        txn.rep_cost_units += half_work
-        if dest_node.is_down:
-            raise NodeDownError(dest_node.node_id, txn.txn_id)
-        if key not in dest_node.store:
-            copy = record.copy()
-            dest_node.store.insert(copy)
-            undo_log.append(("insert", dest_node, key, 0, 0))
-            journal.insert(dest_node, copy)
+            attempt.undo.append((dest_node, key, None))
+            attempt.journal.insert(dest_node, copy)
 
     def _execute_delete(
-        self,
-        txn: Transaction,
-        op: RepartitionOperation,
-        key: int,
-        partition: PartitionId,
-        touched_nodes: set[DataNode],
+        self, attempt: _Attempt, op: DeleteReplica
     ) -> Generator[Event, Any, None]:
-        node = self.cluster.node_for_partition(partition)
-        touched_nodes.add(node)
-        yield from self._lock(txn, node, key, LockMode.EXCLUSIVE)
+        txn = attempt.txn
+        node = self.cluster.node_for_partition(op.partition)
+        attempt.touched.add(node)
+        yield from self._lock(txn, node, op.key, LockMode.EXCLUSIVE)
         work = self._op_work(txn)
         yield from node.work(work)
         txn.rep_cost_units += work
@@ -589,80 +512,52 @@ class TransactionExecutor:
                 f"injected failure executing {op.kind} of tuple {op.key}",
             )
 
-    def _check_touched_alive(
-        self, txn: Transaction, touched_nodes: set[DataNode]
-    ) -> None:
-        """Abort if any node this transaction touched has crashed."""
-        down = sorted(
-            node.node_id for node in touched_nodes if node.is_down
-        )
-        if down:
-            raise NodeDownError(down[0], txn.txn_id)
-
     # ------------------------------------------------------------------
     # Commit / undo
     # ------------------------------------------------------------------
-    def _apply_commit_effects(
-        self,
-        txn: Transaction,
-        effective_ops: list[RepartitionOperation],
-        stage: Optional[EpochStage],
-        journal: _Journal,
-    ) -> None:
-        """Stage each committed operation's map delta, then publish the
+    def _apply_commit_effects(self, attempt: _Attempt) -> None:
+        """Stage each executed operation's map delta, then publish the
         stage as one new epoch (the map change becomes visible to other
         transactions atomically, not operation by operation)."""
-        for op in effective_ops:
+        stage = attempt.stage
+        for op in attempt.ops:
             assert stage is not None
-            if isinstance(op, Migrate):
-                # The stage overlay makes earlier ops of this same
-                # transaction visible to later source lookups.
-                source = stage.primary_of(op.key)
-                if source == op.destination:
-                    # A concurrent transaction already completed this
-                    # exact move between the start-of-txn dedup check
-                    # and now (e.g. a drain sweep racing the workload
-                    # plan); nothing left to do.
-                    self._report_applied(op, txn)
-                    continue
-                source_node = self.cluster.node_for_partition(source)
-                if op.key in source_node.store:
-                    source_node.store.delete(op.key)
-                    journal.delete(source_node, op.key)
-                if op.destination in stage.replicas_of(op.key):
+            key = op.key
+            if op.applied_in(stage):
+                # The staging-time question, asked of the overlay (which
+                # shows earlier ops of this transaction): a concurrent
+                # transaction did the op meanwhile — a drain sweep racing
+                # the workload plan, a copy onto the same partition.
+                pass
+            elif isinstance(op, Migrate):
+                source = stage.primary_of(key)
+                self._drop_copy(attempt, key, source)
+                if op.destination in stage.replicas_of(key):
                     # The destination gained a replica concurrently
                     # (workload-plan CreateReplica racing a drain): the
                     # move degenerates to retiring the source copy.
-                    stage.remove_replica(op.key, source)
+                    stage.remove_replica(key, source)
                 else:
-                    stage.move(op.key, source, op.destination)
+                    stage.move(key, source, op.destination)
             elif isinstance(op, CreateReplica):
-                if op.destination in stage.replicas_of(op.key):
-                    # Raced by a concurrent move/copy onto the same
-                    # partition; the replica already exists.
-                    self._report_applied(op, txn)
-                    continue
-                stage.add_replica(op.key, op.destination)
-            elif isinstance(op, DeleteReplica):
-                replicas = stage.replicas_of(op.key)
-                if op.partition not in replicas:
-                    # Concurrently moved or deleted already.
-                    self._report_applied(op, txn)
-                    continue
-                if len(replicas) == 1:
-                    # A concurrent delete made this the last copy:
-                    # dropping it would strand the tuple, so the op is
-                    # abandoned (the record stays resident).
-                    self._report_applied(op, txn)
-                    continue
-                node = self.cluster.node_for_partition(op.partition)
-                if op.key in node.store:
-                    node.store.delete(op.key)
-                    journal.delete(node, op.key)
-                stage.remove_replica(op.key, op.partition)
-            self._report_applied(op, txn)
+                stage.add_replica(key, op.destination)
+            elif len(stage.replicas_of(key)) > 1:
+                self._drop_copy(attempt, key, op.partition)
+                stage.remove_replica(key, op.partition)
+            # else: a concurrent delete made this the last copy; dropping
+            # it would strand the tuple, so the op is abandoned (the
+            # record stays resident).
+            self._report_applied(op, attempt.txn)
         if stage is not None:
             self.router.store.publish(stage)
+
+    def _drop_copy(
+        self, attempt: _Attempt, key: int, partition: PartitionId
+    ) -> None:
+        node = self.cluster.node_for_partition(partition)
+        if key in node.store:
+            node.store.delete(key)
+            attempt.journal.delete(node, key)
 
     def _report_applied(
         self, op: RepartitionOperation, txn: Transaction
@@ -670,18 +565,15 @@ class TransactionExecutor:
         if self.on_rep_op_applied is not None:
             self.on_rep_op_applied(op, txn)
 
-    def _undo(
-        self, undo_log: list[tuple[str, DataNode, int, int, int]]
-    ) -> None:
-        for action, node, key, old_value, old_version in reversed(undo_log):
-            if action == "write":
-                record = node.store.peek(key)
-                if record is not None:
-                    record.value = old_value
-                    record.version = old_version
-            elif action == "insert":
+    def _undo(self, attempt: _Attempt) -> None:
+        for node, key, before in reversed(attempt.undo):
+            if before is None:
                 if key in node.store:
                     node.store.delete(key)
+            else:
+                record = node.store.peek(key)
+                if record is not None:
+                    record.value, record.version = before
 
     # ------------------------------------------------------------------
     # Locking with timeout
@@ -694,11 +586,11 @@ class TransactionExecutor:
         mode: LockMode,
     ) -> Generator[Event, Any, None]:
         if node.retired:
-            # Admission control for elastic scale-in: the only way a
-            # transaction reaches a RETIRED node is a route pinned
-            # before the drain's final epoch published.  Abort as a
-            # stale route — the retry re-pins and routes to wherever
-            # the drain moved the tuple.
+            # Admission control for elastic scale-in: a transaction
+            # reaches a RETIRED node only through a route pinned, or an
+            # op staged, before the drain's final epoch published.
+            # Abort as a stale route — the retry re-pins, routes to where
+            # the drain moved the tuple, and drops the op at staging.
             raise StaleRouteAbort(txn.txn_id, key, node.partition_id)
         if node.is_down:
             raise NodeDownError(node.node_id, txn.txn_id)

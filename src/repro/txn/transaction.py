@@ -47,10 +47,6 @@ class Transaction:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
 
-    #: Map epoch pinned at admission of the current attempt (set by the
-    #: executor); routing staleness is judged against this snapshot.
-    pinned_epoch_id: Optional[int] = None
-
     attempts: int = 0
     abort_reason: Optional[str] = None
     #: Machine-readable abort category (``TransactionAborted.cause``)

@@ -102,7 +102,7 @@ def test_checked_in_baseline_is_empty() -> None:
     assert entries == []
 
 
-def test_gate_skips_cleanly_when_mypy_missing(monkeypatch, capsys) -> None:
+def test_gate_fails_loudly_when_mypy_missing(monkeypatch, capsys) -> None:
     monkeypatch.setattr(check_types.shutil, "which", lambda _: None)
 
     class _Proc:
@@ -113,5 +113,5 @@ def test_gate_skips_cleanly_when_mypy_missing(monkeypatch, capsys) -> None:
         return _Proc()
 
     monkeypatch.setattr(check_types.subprocess, "run", fake_run)
-    assert check_types.main([]) == 0
-    assert "skipping" in capsys.readouterr().err
+    assert check_types.main([]) == 2
+    assert "pip install" in capsys.readouterr().err

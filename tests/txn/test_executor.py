@@ -180,6 +180,64 @@ class TestRepartitionExecution:
         assert stack.pmap.primary_of(0) == 0
         assert 0 not in stack.cluster.node_for_partition(1).store
 
+    @pytest.mark.parametrize("migrate_first", [True, False])
+    def test_migrate_beside_create_replica_of_same_tuple(self, migrate_first):
+        """A copy whose source moved away while it waited for the lock
+        re-validates like a move does; it must not read a vanished tuple."""
+        stack = build_stack(capacity=1.0)
+        ops = [
+            Migrate(op_id=0, key=0, source=0, destination=1),
+            CreateReplica(op_id=1, key=0, source=0, destination=2),
+        ]
+        if not migrate_first:
+            ops.reverse()
+        txns = [stack.tm.create_repartition([op]) for op in ops]
+        for txn in txns:
+            stack.tm.submit(txn)
+        stack.env.run(until=1000)
+        for txn in txns:
+            assert txn.status in (TxnStatus.COMMITTED, TxnStatus.ABORTED)
+            if txn.status is TxnStatus.ABORTED:
+                assert txn.abort_cause is not None
+        holders = {
+            node.partition_id
+            for node in stack.cluster.nodes
+            if 0 in node.store
+        }
+        assert set(stack.pmap.replicas_of(0)) == holders
+
+    def test_op_into_retired_node_dropped_at_staging(self):
+        """An op whose destination retired can never apply: it is
+        reported and dropped, and the rest of the transaction commits
+        instead of aborting ``stale_route`` on every retry."""
+        stack = build_stack()
+        retired = stack.cluster.add_node()
+        stack.cluster.activate(retired.node_id)
+        stack.cluster.begin_drain(retired.node_id)
+        stack.cluster.retire(retired.node_id)
+        applied = []
+        stack.executor.on_rep_op_applied = (
+            lambda op, txn: applied.append(op.op_id)
+        )
+        txn = stack.tm.create_repartition(
+            [
+                Migrate(
+                    op_id=0, key=0, source=0,
+                    destination=retired.partition_id,
+                ),
+                Migrate(op_id=1, key=1, source=1, destination=2),
+            ]
+        )
+        stack.run_txn(txn)
+        assert txn.committed and txn.attempts == 1
+        assert stack.tm.total_retries == 0
+        assert applied == [0, 1]
+        assert stack.pmap.replicas_of(0) == (0,)
+        assert 0 in stack.cluster.node_for_partition(0).store
+        assert len(retired.store) == 0
+        assert stack.pmap.replicas_of(1) == (2,)
+        assert 1 in stack.cluster.node_for_partition(2).store
+
 
 class TestPiggybackedExecution:
     def test_carrier_applies_ops_on_commit(self, stack):

@@ -51,10 +51,10 @@ class TestSerializable:
         holds_during = []
         original = stack.executor._apply_commit_effects
 
-        def spy(txn_inner, ops, stage, journal):
+        def spy(attempt):
             node = stack.cluster.node_for_partition(0)
-            holds_during.append(node.locks.holds(txn_inner.txn_id, 0))
-            original(txn_inner, ops, stage, journal)
+            holds_during.append(node.locks.holds(attempt.txn.txn_id, 0))
+            original(attempt)
 
         stack.executor._apply_commit_effects = spy
         stack.run_txn(txn)

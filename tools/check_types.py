@@ -17,10 +17,6 @@ Usage::
 
     python tools/check_types.py            # gate (CI)
     python tools/check_types.py --update   # rewrite the baseline
-
-When mypy is not installed (e.g. the minimal local container) the gate
-is skipped with a warning and exit 0; CI installs mypy so the gate is
-always live there.
 """
 
 from __future__ import annotations
@@ -124,11 +120,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     if not have_mypy:
         print(
-            "check_types: mypy is not installed; skipping the strict gate "
-            "(CI installs it, so this only relaxes local runs)",
+            "check_types: mypy is not installed, so the strict gate cannot "
+            "run; install it with `python -m pip install 'mypy>=1.8'`",
             file=sys.stderr,
         )
-        return 0
+        return 2
 
     returncode, output = run_mypy()
     if returncode not in (0, 1):  # 2 = usage/config error: always fatal
