@@ -45,10 +45,11 @@ import tracemalloc
 from repro.experiments import production_scale, run_experiment
 from repro.routing import PartitionMap, PartitionMapStore, QueryRouter
 from repro.sim.random import RandomStreams
-from repro.storage import PartitionStore, Record
+from repro.storage import DEFAULT_TUPLE_SIZE_BYTES, PartitionStore, Record
 from repro.workload.dataset import (
     choose_distributed_type_ids,
     initial_placement,
+    load_placement,
     place_unprofiled_keys,
 )
 from repro.workload.generator import iter_profile_types
@@ -88,9 +89,10 @@ def _build_dataset(node_count: int, tuple_count: int):
     """Assemble the scale preset's dataset layer; returns (map store,
     per-partition tuple stores, seconds).
 
-    The stores are loaded without the node machinery (locks, work
-    servers, WAL) so the recorded memory is the storage layer's, not
-    the simulation scaffolding's.
+    The stores are loaded — by the loader ``build_system`` uses —
+    without the node machinery (locks, work servers, WAL) so the
+    recorded memory is the storage layer's, not the simulation
+    scaffolding's.
     """
     config = production_scale(node_count=node_count, tuple_count=tuple_count)
     streams = RandomStreams(config.seed)
@@ -109,10 +111,12 @@ def _build_dataset(node_count: int, tuple_count: int):
     )
     place_unprofiled_keys(pmap, tuple_count, partitions)
     stores = [PartitionStore(pid) for pid in range(node_count)]
-    rng = streams.stream("values")
-    for key in pmap.keys():
-        for pid in pmap.replicas_of(key):
-            stores[pid].insert(Record(key=key, value=rng.randrange(1_000_000)))
+    load_placement(
+        pmap,
+        stores.__getitem__,
+        DEFAULT_TUPLE_SIZE_BYTES,
+        streams.stream("values"),
+    )
     elapsed = time.perf_counter() - started
     assert len(pmap) == tuple_count
     assert sum(len(s) for s in stores) == tuple_count

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from ..errors import PartitioningError
 from ..partitioning.cost_model import CostModel
 from ..partitioning.operations import RepartitionOperation
 from ..partitioning.plan import PartitionPlan
@@ -62,6 +63,11 @@ def generate_and_rank(
     for op in operations:
         ops_by_key.setdefault(op.key, []).append(op)
         op.benefit = 0.0  # reset accumulators from any previous run
+    # Every operation ends up in exactly one transaction, told apart by
+    # id — which also means a type's group below never lists one twice.
+    remaining: set[int] = {op.op_id for op in operations}
+    if len(remaining) != len(operations):
+        raise PartitioningError("repartition operations must have distinct ids")
 
     # Lines 1-5: build Top (type -> ops touching its keys), filtered to
     # types that actually improve under the plan.  Only types touching a
@@ -75,34 +81,25 @@ def generate_and_rank(
         for candidate in key_index.get(key, ()):
             candidate_ids.add(candidate.type_id)
     top: dict[int, list[RepartitionOperation]] = {}
-    improvements: dict[int, float] = {}
     for type_id in sorted(candidate_ids, key=profile.position):
         ttype = profile.type(type_id)
-        group: list[RepartitionOperation] = []
-        seen: set[int] = set()
-        for key in ttype.keys:
-            for op in ops_by_key.get(key, ()):  # pragma: no branch
-                if op.op_id not in seen:
-                    group.append(op)
-                    seen.add(op.op_id)
+        group = [
+            op for key in ttype.keys for op in ops_by_key.get(key, ())
+        ]
         if not group:
             continue
         delta = cost_model.improvement(ttype, plan, current)
         if delta <= 0:
             continue
-        top[ttype.type_id] = group
-        improvements[ttype.type_id] = delta
-
-    # Lines 6-9: spread each type's gain evenly over its op group.
-    for type_id, group in top.items():
-        ttype = profile.type(type_id)
-        per_op = ttype.frequency * improvements[type_id] / len(group)
+        top[type_id] = group
+        # Lines 6-9: spread the type's gain evenly over its op group.
+        per_op = ttype.frequency * delta / len(group)
         for op in group:
             op.benefit += per_op
 
     # Lines 10-15: total benefit per group, sorted descending.
     group_benefit = {
-        type_id: sum(op.benefit for op in group)
+        type_id: sum([op.benefit for op in group])
         for type_id, group in top.items()
     }
     ranked_types = sorted(
@@ -110,7 +107,6 @@ def generate_and_rank(
     )
 
     # Lines 16-26: carve groups into transactions; each op used once.
-    remaining: set[int] = {op.op_id for op in operations}
     specs: list[RepartitionTransactionSpec] = []
     for type_id in ranked_types:
         group = []

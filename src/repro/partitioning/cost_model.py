@@ -15,7 +15,7 @@ costs ``2·C_i``.  From this the model derives:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Optional, Sequence
 
 from ..errors import ConfigError
 from ..routing.epoch import MapView
@@ -123,16 +123,26 @@ class CostModel:
         current: MapView,
     ) -> float:
         """``C_i(O) − C_i(P)`` for one transaction type (can be <= 0)."""
-        return self.cost_under_map(ttype.keys, current) - self.cost_under_plan(
-            ttype.keys, plan, current
+        # Both sides from one placement resolve per key (Algorithm 1
+        # asks this of every type a plan touches).
+        keys = ttype.keys
+        under_map = current.primaries_of(keys)
+        target_of = plan.assignment.get
+        under_plan = {
+            target_of(key, pid) for key, pid in zip(keys, under_map)
+        }
+        return self.txn_cost(len(set(under_map))) - self.txn_cost(
+            len(under_plan)
         )
 
     # ------------------------------------------------------------------
     # Repartition transaction costs
     # ------------------------------------------------------------------
-    def rep_txn_cost(self, operations: Iterable[RepartitionOperation]) -> float:
+    def rep_txn_cost(
+        self, operations: Collection[RepartitionOperation]
+    ) -> float:
         """Cost of executing a group of repartition operations."""
-        return self.rep_op_cost * sum(1 for _op in operations)
+        return self.rep_op_cost * len(operations)
 
     def benefit(
         self,

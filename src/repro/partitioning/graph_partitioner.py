@@ -25,16 +25,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import networkx as nx
-
 from ..errors import PartitioningError
 from ..types import PartitionId, TupleKey
 from .plan import PartitionPlan
 
-
-
+# ``networkx`` is imported where it is used: every process imports this
+# module with ``repro``, only a ``GraphPartitioner`` at work needs the
+# library (half of a small cell's import time).
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    import networkx as nx
+
     from repro.workload.profile import WorkloadProfile
+
 
 @dataclass(frozen=True)
 class GraphPartitionerConfig:
@@ -66,6 +68,8 @@ class GraphPartitioner:
     # ------------------------------------------------------------------
     def build_graph(self, profile: WorkloadProfile) -> nx.Graph:
         """Co-access graph: nodes are keys, edge weights are co-access freq."""
+        import networkx as nx
+
         graph = nx.Graph()
         for ttype in profile.types:
             keys = ttype.keys
@@ -127,6 +131,8 @@ class GraphPartitioner:
     def _weighted_components(
         self, graph: nx.Graph
     ) -> list[tuple[list[TupleKey], float]]:
+        import networkx as nx
+
         components = []
         for nodes in nx.connected_components(graph):
             ordered = sorted(nodes)
@@ -145,6 +151,8 @@ class GraphPartitioner:
         """Recursively bisect an oversized component with Kernighan–Lin."""
         if weight <= limit or len(keys) <= 1:
             return [(keys, weight)]
+        import networkx as nx
+
         subgraph = graph.subgraph(keys)
         side_a, side_b = nx.algorithms.community.kernighan_lin_bisection(
             subgraph,

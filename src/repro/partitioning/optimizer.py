@@ -85,16 +85,22 @@ class RepartitionOptimizer:
         """Collocate each (selected) type's tuples on one partition.
 
         Types are processed hottest-first so the most beneficial
-        placements get first pick of partitions; keys claimed by a hotter
-        type are not reassigned by a colder one.
+        placements get first pick of partitions; a type all of whose
+        keys were claimed by hotter types is not planned.
+        ``types_to_fix`` selects among ``profile``'s types.
         """
         plan = PartitionPlan()
+        assignment = plan.assignment
         load: dict[PartitionId, float] = {p: 0.0 for p in self.partitions}
 
-        # Seed loads with what is already resident.
+        # Seed loads with what is already resident.  This pass is the
+        # one placement resolve per key: every later step reads a type's
+        # per-partition key counts, which live until the plan is returned.
         index = profile.key_index()
+        counts_of: dict[int, dict[PartitionId, int]] = {}
         for ttype in profile.types:
-            home = self._current_home(ttype, current)
+            counts = counts_of[ttype.type_id] = _key_counts(ttype, current)
+            home = _majority(counts)
             load[home] = load.get(home, 0.0) + ttype.frequency
 
         candidates = list(types_to_fix) if types_to_fix is not None else list(
@@ -102,21 +108,20 @@ class RepartitionOptimizer:
         )
         candidates.sort(key=lambda t: (-t.frequency, t.type_id))
 
+        placement = frozenset(self.partitions)
         claimed: set[int] = set()
         for ttype in candidates:
-            keys = [k for k in ttype.keys if k not in claimed]
-            if not keys:
+            if claimed.issuperset(ttype.keys):
                 continue
-            partitions_now = {current.primary_of(k) for k in ttype.keys}
-            if len(partitions_now) == 1:
+            counts = counts_of[ttype.type_id]
+            if len(counts) == 1:
                 continue  # already collocated, nothing to plan
-            target = self._choose_target(ttype, current, load)
+            target = self._choose_target(counts, load, placement)
             for key in ttype.keys:
-                plan.assign(key, target)
-                claimed.add(key)
+                assignment[key] = target
+            claimed.update(ttype.keys)
             # Update load estimate: the type now runs on its target.
-            previous_home = self._current_home(ttype, current)
-            load[previous_home] -= ttype.frequency
+            load[_majority(counts)] -= ttype.frequency
             load[target] += ttype.frequency
             # Types sharing keys with this one are constrained; skip them
             # by claiming their keys is sufficient (handled above).
@@ -126,34 +131,49 @@ class RepartitionOptimizer:
                         claimed.update(other.keys)
         return plan
 
-    def _current_home(
-        self, ttype: TransactionType, current: MapView
-    ) -> PartitionId:
-        """The partition carrying the type's work now (majority partition)."""
-        counts: dict[PartitionId, int] = {}
-        for key in ttype.keys:
-            pid = current.primary_of(key)
-            counts[pid] = counts.get(pid, 0) + 1
-        return min(counts, key=lambda p: (-counts[p], p))
-
     def _choose_target(
         self,
-        ttype: TransactionType,
-        current: MapView,
+        counts: dict[PartitionId, int],
         load: dict[PartitionId, float],
+        placement: frozenset[PartitionId],
     ) -> PartitionId:
-        """Pick the collocation target for one type.
+        """Pick the collocation target for a type holding ``counts``.
 
         Prefer the partition already holding the most of the type's
         tuples (fewest migrations); break ties toward the least-loaded
-        partition, then by id for determinism.
+        partition, then by id for determinism.  Only a placement
+        partition holding one of the tuples can win that order, so only
+        those are ranked; when there is none (every tuple sits on a
+        draining node) the least-loaded placement partition is taken.
         """
-        counts: dict[PartitionId, int] = {p: 0 for p in self.partitions}
-        for key in ttype.keys:
-            pid = current.primary_of(key)
-            if pid in counts:
-                counts[pid] += 1
-        return min(
-            self.partitions,
-            key=lambda p: (-counts[p], load.get(p, 0.0), p),
-        )
+        held = [
+            (-n, load[pid], pid)
+            for pid, n in counts.items()
+            if pid in placement
+        ]
+        if held:
+            return min(held)[2]
+        return min(self.partitions, key=lambda p: (load[p], p))
+
+
+def _key_counts(
+    ttype: TransactionType, current: MapView
+) -> dict[PartitionId, int]:
+    """How many of the type's keys each partition's primary holds now."""
+    counts: dict[PartitionId, int] = {}
+    for pid in current.primaries_of(ttype.keys):
+        if pid in counts:
+            counts[pid] += 1
+        else:
+            counts[pid] = 1
+    return counts
+
+
+def _majority(counts: dict[PartitionId, int]) -> PartitionId:
+    """The partition carrying a type's work now: the one holding most
+    of its keys, the lowest id among equals."""
+    home, most = -1, 0
+    for pid, n in counts.items():
+        if n > most or (n == most and pid < home):
+            home, most = pid, n
+    return home

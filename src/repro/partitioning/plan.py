@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterator, Optional
 
-from ..errors import PartitioningError
+from ..errors import PartitioningError, RoutingError
 from ..routing.epoch import MapView
 from ..types import PartitionId, TupleKey
 from .operations import Migrate, RepartitionOperation
@@ -73,17 +73,20 @@ def diff_plan(
     single-replica tuples); replica-creation/deletion operations are
     emitted by replication-oriented planners directly.
     """
+    assignment = plan.assignment
+    try:
+        sources = current.primaries_of(assignment)
+    except RoutingError:
+        unmapped = next(key for key in assignment if key not in current)
+        raise PartitioningError(
+            f"plan references unmapped tuple {unmapped}"
+        ) from None
     ids = count(start_op_id)
-    operations: list[RepartitionOperation] = []
-    for key, target in plan.assignment.items():
-        if key not in current:
-            raise PartitioningError(f"plan references unmapped tuple {key}")
-        source = current.primary_of(key)
-        if source != target:
-            operations.append(
-                Migrate(op_id=next(ids), key=key, source=source, destination=target)
-            )
-    return operations
+    return [
+        Migrate(op_id=next(ids), key=key, source=source, destination=target)
+        for (key, target), source in zip(assignment.items(), sources)
+        if source != target
+    ]
 
 
 def plan_from_map(current: MapView) -> PartitionPlan:

@@ -46,7 +46,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from ..errors import EpochError, RoutingError
 from ..types import PartitionId, TupleKey
@@ -197,11 +197,9 @@ class MapEpoch:
         return overlay
 
     def _resolve(self, key: TupleKey) -> Optional[Replicas]:
-        """``key``'s value as of this epoch, or ``_UNTOUCHED`` when no
-        later transition touched it (read the live map)."""
+        """``key``'s value as of this (stale) epoch, or ``_UNTOUCHED``
+        when no later transition touched it (read the live map)."""
         store = self._store
-        if self.epoch_id == store.epoch_id:
-            return _UNTOUCHED
         overlay = self._overlay
         if overlay is not None:
             if self._overlay_through != store.epoch_id:
@@ -216,30 +214,47 @@ class MapEpoch:
                 return prev[key]
         return _UNTOUCHED
 
+    # The current epoch *is* the live map — the only case the planners
+    # read through — so the three lookups below go straight to it and
+    # resolve against the log only when this epoch is stale.
     def replicas_of(self, key: TupleKey) -> Replicas:
         """Replica list of ``key`` as of this epoch (primary first)."""
-        value = self._resolve(key)
-        if value is _UNTOUCHED:
-            return self._store.live_map.replicas_of(key)
-        if value is None:
-            raise RoutingError(
-                f"tuple {key} is not mapped to any partition"
-            )
-        return value
+        store = self._store
+        if self.epoch_id != store.epoch_id:
+            value = self._resolve(key)
+            if value is None:
+                raise RoutingError(
+                    f"tuple {key} is not mapped to any partition"
+                )
+            if value is not _UNTOUCHED:
+                return value
+        return store._live.replicas_of(key)
 
     def primary_of(self, key: TupleKey) -> PartitionId:
         """The primary replica's partition as of this epoch."""
-        return self.replicas_of(key)[0]
+        store = self._store
+        if self.epoch_id != store.epoch_id:
+            return self.replicas_of(key)[0]
+        return store._live.primary_of(key)
+
+    def primaries_of(self, keys: Iterable[TupleKey]) -> list[PartitionId]:
+        """:meth:`primary_of` each of ``keys``, in order."""
+        store = self._store
+        if self.epoch_id != store.epoch_id:
+            return [self.replicas_of(key)[0] for key in keys]
+        return store._live.primaries_of(keys)
 
     def replica_count(self, key: TupleKey) -> int:
         """Number of replicas of ``key`` as of this epoch."""
         return len(self.replicas_of(key))
 
     def __contains__(self, key: TupleKey) -> bool:
-        value = self._resolve(key)
-        if value is _UNTOUCHED:
-            return key in self._store.live_map
-        return value is not None
+        store = self._store
+        if self.epoch_id != store.epoch_id:
+            value = self._resolve(key)
+            if value is not _UNTOUCHED:
+                return value is not None
+        return key in store._live
 
     def keys(self) -> Iterator[TupleKey]:
         """Iterate the keys mapped as of this epoch."""

@@ -21,7 +21,7 @@ same for both representations.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import RoutingError
 from ..types import PartitionId, TupleKey
@@ -82,6 +82,19 @@ class PartitionMap:
             if not self._is_dense(key):
                 yield key
 
+    def items(self) -> Iterator[tuple[TupleKey, tuple[PartitionId, ...]]]:
+        """``(key, replicas_of(key))`` per mapped key in :meth:`keys`
+        order — the whole-map scan, one read of the dense column."""
+        replicas = self._replicas
+        for key, cell in enumerate(self._primary):
+            if cell >= 0:
+                yield key, (cell,)
+            elif cell == _SPILLED:
+                yield key, tuple(replicas[key])
+        for key, spilled in replicas.items():
+            if not self._is_dense(key):
+                yield key, tuple(spilled)
+
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -98,7 +111,29 @@ class PartitionMap:
 
     def primary_of(self, key: TupleKey) -> PartitionId:
         """The primary replica's partition."""
-        return self.replicas_of(key)[0]
+        # Reads the cell itself, not ``replicas_of(key)[0]``: planning
+        # resolves every planned key through here.
+        if isinstance(key, int) and 0 <= key < self.capacity:
+            primary = self._primary[key]
+            if primary >= 0:
+                return primary
+        replicas = self._replicas.get(key)
+        if replicas is None:
+            raise RoutingError(f"tuple {key} is not mapped to any partition")
+        return replicas[0]
+
+    def primaries_of(self, keys: Iterable[TupleKey]) -> list[PartitionId]:
+        """:meth:`primary_of` each of ``keys``, in order — one call per
+        batch for the planners, which resolve every key of a plan."""
+        primary, capacity, resolve = self._primary, self.capacity, self.primary_of
+        return [
+            primary[key]
+            if isinstance(key, int)
+            and 0 <= key < capacity
+            and primary[key] >= 0
+            else resolve(key)
+            for key in keys
+        ]
 
     def replica_count(self, key: TupleKey) -> int:
         """Number of replicas of ``key``."""
@@ -140,8 +175,8 @@ class PartitionMap:
     def assign(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Initial placement of ``key`` with a single replica."""
         self._check_partition(partition_id)
-        # Spelled out rather than ``in`` + ``_put``: set-up calls this
-        # once per tuple.
+        # Spelled out rather than ``in`` + ``_put``: initial placement
+        # calls this once per profiled key.
         dense = self._is_dense(key)
         if (
             self._primary[key] != _UNMAPPED if dense else key in self._replicas
@@ -154,6 +189,38 @@ class PartitionMap:
         self._count += 1
         self._size_delta(partition_id, +1)
         self.version += 1
+
+    def assign_unmapped(
+        self, key_count: int, partitions: Sequence[PartitionId]
+    ) -> None:
+        """:meth:`assign` every unmapped key ``k`` of ``range(key_count)``
+        to ``partitions[k % len(partitions)]`` — cold-data placement in
+        one pass over the dense column instead of one call per tuple.
+
+        Every partition id is checked before the first cell is written.
+        """
+        if not partitions:
+            raise RoutingError("need at least one partition to assign to")
+        for partition_id in partitions:
+            self._check_partition(partition_id)
+        p = len(partitions)
+        primary = self._primary
+        dense = min(key_count, self.capacity)
+        #: Keys placed per position in ``partitions``.
+        placed = [0] * p
+        for key in range(dense):
+            if primary[key] == _UNMAPPED:
+                slot = key % p
+                primary[key] = partitions[slot]
+                placed[slot] += 1
+        for partition_id, n in zip(partitions, placed):
+            self._size_delta(partition_id, n)
+        filled = sum(placed)
+        self._count += filled
+        self.version += filled  # as one ``assign`` per key would
+        for key in range(dense, key_count):
+            if key not in self._replicas:
+                self.assign(key, partitions[key % p])
 
     def add_replica(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Record a new replica of ``key`` on ``partition_id``."""

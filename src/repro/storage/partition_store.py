@@ -15,14 +15,16 @@ per tuple:
 
 Every stored field must fit a signed 64-bit int; a call that would
 store anything else raises :class:`StorageError` and leaves the store
-untouched.  The store tracks insert/delete counters so tests and
-benchmarks can assert on repartitioning activity.
+untouched — :meth:`PartitionStore.load`, the dataset build's one call
+per store, holds a whole batch to that.  The store tracks
+insert/delete counters so tests and benchmarks can assert on
+repartitioning activity.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..errors import StorageError
 from ..types import PartitionId, TupleKey
@@ -197,6 +199,50 @@ class PartitionStore:
         # Indexed last, so a rejected record is never visible.
         self._index[record.key] = slot
         self.inserts += 1
+
+    def load(
+        self, keys: Iterable[TupleKey], values: Iterable[int], size_bytes: int
+    ) -> None:
+        """Insert one new tuple per ``(key, value)`` pair, every one
+        ``size_bytes`` wide at version 0 — the dataset build's entry
+        point: one call per store instead of one ``insert`` per tuple.
+
+        The whole batch is checked first (fields that fit the columns,
+        equal lengths, no key repeated or already resident), so a
+        refused batch leaves the store untouched.
+        """
+        try:
+            key_column = array("q", keys)
+            value_column = array("q", values)
+            size_column = array("q", (size_bytes,)) * len(key_column)
+        except (OverflowError, TypeError):
+            raise StorageError(
+                f"partition {self.partition_id}: a loaded batch holds a "
+                "field outside the store's signed 64-bit columns"
+            ) from None
+        if len(value_column) != len(key_column):
+            raise StorageError(
+                f"partition {self.partition_id}: a loaded batch pairs "
+                f"{len(key_column)} keys with {len(value_column)} values"
+            )
+        base = len(self._keys)
+        slots = dict(zip(key_column, range(base, base + len(key_column))))
+        if len(slots) != len(key_column):
+            raise StorageError(
+                f"partition {self.partition_id}: a loaded batch repeats a key"
+            )
+        if not self._index.keys().isdisjoint(slots):
+            resident = next(key for key in slots if key in self._index)
+            raise StorageError(
+                f"tuple {resident} already resident on partition "
+                f"{self.partition_id}"
+            )
+        self._keys.extend(key_column)
+        self._values.extend(value_column)
+        self._versions.extend(array("q", (0,)) * len(key_column))
+        self._sizes.extend(size_column)
+        self._index.update(slots)
+        self.inserts += len(key_column)
 
     def insert(self, record: "Record | RecordView") -> None:
         """Insert a replica; duplicates are a consistency violation."""

@@ -12,13 +12,14 @@ non-distributed, exactly the paper's setup.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..cluster.cluster import Cluster
-from ..errors import ConfigError
+from ..errors import ConfigError, StorageError
 from ..routing.partition_map import PartitionMap
-from ..storage.record import Record
+from ..storage.partition_store import PartitionStore
 from ..types import PartitionId
 from .profile import TransactionType, WorkloadProfile
 
@@ -114,10 +115,49 @@ def place_unprofiled_keys(
     partitions: Sequence[PartitionId],
 ) -> None:
     """Round-robin any keys no transaction type touches (cold data)."""
-    p = len(partitions)
-    for key in range(tuple_count):
-        if key not in pmap:
-            pmap.assign(key, partitions[key % p])
+    if not partitions:
+        raise ConfigError("need at least one partition")
+    pmap.assign_unmapped(tuple_count, partitions)
+
+
+def load_placement(
+    pmap: PartitionMap,
+    store_of: Callable[[PartitionId], PartitionStore],
+    size_bytes: int,
+    rng: random.Random,
+) -> int:
+    """Materialise one record per ``(key, replica)`` of the map in the
+    store ``store_of`` names for the replica's partition.
+
+    Payloads are drawn from ``rng`` once per record in ``pmap.items()``
+    order; each store then takes its records in one
+    :meth:`~repro.storage.partition_store.PartitionStore.load`.
+    Returns the number of records loaded.
+    """
+    # Per partition, the keys and payloads bound for it as machine-int
+    # columns (16 bytes a tuple; boxed ints would be several times that
+    # for the length of a million-tuple build).
+    batches: dict[PartitionId, tuple[array[int], array[int]]] = {}
+    randrange = rng.randrange
+    for key, replicas in pmap.items():
+        for pid in replicas:
+            batch = batches.get(pid)
+            if batch is None:
+                batch = batches[pid] = (array("q"), array("q"))
+            try:
+                batch[0].append(key)
+            except (OverflowError, TypeError):
+                raise StorageError(
+                    f"tuple {key!r} does not fit a store's signed 64-bit "
+                    "key column"
+                ) from None
+            batch[1].append(randrange(1_000_000))
+    loaded = 0
+    while batches:  # each batch is dropped as its store takes a copy
+        pid, (keys, values) = batches.popitem()
+        store_of(pid).load(keys, values, size_bytes)
+        loaded += len(keys)
+    return loaded
 
 
 def load_stores(
@@ -130,25 +170,18 @@ def load_stores(
 
     Returns the number of records loaded.
     """
-    loaded = 0
-    for key in pmap.keys():
-        for pid in pmap.replicas_of(key):
-            node = cluster.node_for_partition(pid)
-            node.store.insert(
-                Record(
-                    key=key,
-                    value=rng.randrange(1_000_000),
-                    size_bytes=config.tuple_size_bytes,
-                )
-            )
-            loaded += 1
-    return loaded
+    return load_placement(
+        pmap,
+        lambda pid: cluster.node_for_partition(pid).store,
+        config.tuple_size_bytes,
+        rng,
+    )
 
 
 def verify_placement(cluster: Cluster, pmap: PartitionMap) -> bool:
     """Check stores and map agree (used by tests and failure injection)."""
-    for key in pmap.keys():
-        for pid in pmap.replicas_of(key):
+    for key, replicas in pmap.items():
+        for pid in replicas:
             if key not in cluster.node_for_partition(pid).store:
                 return False
     return True

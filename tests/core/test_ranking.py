@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import generate_and_rank
-from repro.partitioning import CostModel, PartitionPlan, diff_plan
+from repro.errors import PartitioningError
+from repro.partitioning import CostModel, Migrate, PartitionPlan, diff_plan
 from repro.routing import PartitionMap
 from repro.workload import TransactionType, WorkloadProfile
 
@@ -119,6 +120,24 @@ class TestFiltering:
             [], PartitionPlan(), pmap, profile, CostModel()
         )
         assert specs == []
+
+
+    def test_duplicate_op_ids_rejected(self):
+        """Each op lands in exactly one transaction *by id*."""
+        profile = WorkloadProfile(
+            table="t", types=[TransactionType(0, (0, 1), 1.0)]
+        )
+        pmap = PartitionMap()
+        pmap.assign(0, 0)
+        pmap.assign(1, 1)
+        ops = [
+            Migrate(op_id=4, key=0, source=0, destination=1),
+            Migrate(op_id=4, key=1, source=1, destination=0),
+        ]
+        with pytest.raises(PartitioningError, match="distinct ids"):
+            generate_and_rank(
+                ops, PartitionPlan({0: 1, 1: 0}), pmap, profile, CostModel()
+            )
 
 
 class TestSharedOps:

@@ -31,9 +31,10 @@ import resource
 from repro.experiments import production_scale
 from repro.routing import PartitionMap
 from repro.sim.random import RandomStreams
-from repro.storage import PartitionStore, Record
+from repro.storage import DEFAULT_TUPLE_SIZE_BYTES, PartitionStore
 from repro.workload.dataset import (
-    choose_distributed_type_ids, initial_placement, place_unprofiled_keys,
+    choose_distributed_type_ids, initial_placement, load_placement,
+    place_unprofiled_keys,
 )
 from repro.workload.generator import iter_profile_types
 
@@ -49,11 +50,11 @@ pmap = initial_placement(
 )
 place_unprofiled_keys(pmap, config.workload.tuple_count, partitions)
 stores = [PartitionStore(p) for p in partitions]
-rng = streams.stream("values")
-for key in pmap.keys():
-    for pid in pmap.replicas_of(key):
-        stores[pid].insert(Record(key=key, value=rng.randrange(1_000_000)))
-assert sum(len(s) for s in stores) == config.workload.tuple_count
+loaded = load_placement(
+    pmap, stores.__getitem__, DEFAULT_TUPLE_SIZE_BYTES,
+    streams.stream("values"),
+)
+assert loaded == sum(len(s) for s in stores) == config.workload.tuple_count
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 

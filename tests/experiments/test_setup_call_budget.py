@@ -1,0 +1,47 @@
+"""Machine-independent budgets for set-up and planning.
+
+Build and plan are what every cell — and every re-plan — pays before a
+transaction runs, and on the scale tier they were once a ladder of
+Python calls walked per tuple (32 calls a tuple to build, 87 per
+profiled key to plan).  ``cProfile``'s ``total_calls`` is a count, the
+same on every machine and every run, so these gates say "no per-tuple
+ladder came back" without a wall-clock threshold — in the spirit of
+``BENCH_locking.json``'s ``depth128_over_depth1``.
+"""
+
+import cProfile
+import pstats
+
+from repro.experiments import build_system, medium_scale, start_repartitioning
+
+#: Profiled calls per tuple to build the system (16.4 when set).
+BUILD_CALLS_PER_TUPLE = 20
+#: Profiled calls per profiled key to derive, rank and submit the plan
+#: (26.8 when set).
+PLAN_CALLS_PER_KEY = 45
+
+
+def _calls(fn, *args):
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args)
+    return result, pstats.Stats(profiler).total_calls
+
+
+def test_build_and_plan_stay_inside_their_call_budgets():
+    config = medium_scale("Hybrid", "zipf", "low", alpha=1.0, seed=0)
+    system, build_calls = _calls(build_system, config)
+    session, plan_calls = _calls(start_repartitioning, system)
+
+    tuples = config.workload.tuple_count
+    profiled_keys = len({k for t in system.profile.types for k in t.keys})
+    assert (tuples, profiled_keys) == (25_000, 16_000)
+    assert sum(len(n.store) for n in system.cluster.nodes) == tuples
+    assert session.ops_total > 0
+
+    assert build_calls <= BUILD_CALLS_PER_TUPLE * tuples, (
+        f"build_system made {build_calls / tuples:.1f} calls per tuple"
+    )
+    assert plan_calls <= PLAN_CALLS_PER_KEY * profiled_keys, (
+        f"start_repartitioning made {plan_calls / profiled_keys:.1f} "
+        "calls per profiled key"
+    )

@@ -156,6 +156,23 @@ class TestEpochSnapshots:
         current = store.current_epoch
         assert current.replicas_of(0) == (0,)
 
+    def test_primaries_of_current_and_stale(self, store):
+        pinned = store.pin()
+        stage = store.begin_stage()
+        stage.move(0, 0, 2)
+        stage.assign(100, 1)
+        store.publish(stage)
+        current = store.current_epoch
+        assert current.primaries_of([100, 0, 1]) == [1, 2, 1]
+        assert pinned.primaries_of([0, 1]) == [0, 1]
+        assert pinned.primaries_of(iter([1])) == [1]
+        for epoch, missing in ((pinned, 100), (current, 101)):
+            assert missing not in epoch
+            with pytest.raises(RoutingError, match=f"tuple {missing} is not"):
+                epoch.primaries_of([0, missing])
+            with pytest.raises(RoutingError, match=f"tuple {missing} is not"):
+                epoch.primary_of(missing)
+
     def test_unpin_unknown_epoch_raises(self, store):
         epoch = store.current_epoch
         with pytest.raises(EpochError, match="not pinned"):

@@ -93,3 +93,67 @@ class TestCopy:
 
     def test_copy_preserves_version(self, pmap):
         assert pmap.copy().version == pmap.version
+
+
+class TestBulk:
+    def test_items_is_keys_order_with_replicas(self):
+        pmap = PartitionMap(capacity=4)
+        for key, pid in ((9, 2), (3, 1), (0, 0), (7, 1)):
+            pmap.assign(key, pid)
+        pmap.add_replica(3, 0)  # spills inside the dense range
+        pmap.add_replica(7, 2)
+        assert list(pmap.items()) == [
+            (0, (0,)), (3, (1, 0)), (9, (2,)), (7, (1, 2)),
+        ]
+        assert [key for key, _ in pmap.items()] == list(pmap.keys())
+
+    def test_primaries_of_matches_primary_of(self):
+        pmap = PartitionMap(capacity=4)
+        for key, pid in ((0, 0), (3, 1), (9, 2)):
+            pmap.assign(key, pid)
+        pmap.add_replica(3, 0)
+        assert pmap.primaries_of([9, 3, 0, 3]) == [2, 1, 0, 1]
+        assert pmap.primaries_of(iter(())) == []
+        for missing in (1, 4, -1):
+            with pytest.raises(RoutingError, match=f"tuple {missing} is not"):
+                pmap.primaries_of([0, missing])
+
+    def test_assign_unmapped_skips_spilled_and_mapped_cells(self):
+        pmap = PartitionMap(capacity=6)
+        pmap.assign(1, 7)
+        pmap.assign(4, 7)
+        pmap.add_replica(4, 8)  # a spilled cell is mapped, not a gap
+        version = pmap.version
+        pmap.assign_unmapped(6, [0, 1, 2])
+        assert dict(pmap.items()) == {
+            0: (0,), 1: (7,), 2: (2,), 3: (0,), 4: (7, 8), 5: (2,),
+        }
+        assert len(pmap) == 6
+        assert pmap.partition_sizes() == {0: 2, 2: 2, 7: 2, 8: 1}
+        assert pmap.version == version + 4  # one per key placed
+
+    def test_assign_unmapped_past_capacity(self):
+        pmap = PartitionMap(capacity=2)
+        pmap.assign(3, 9)
+        pmap.assign_unmapped(5, [0, 1])
+        assert dict(pmap.items()) == {
+            0: (0,), 1: (1,), 2: (0,), 3: (9,), 4: (0,),
+        }
+        assert list(pmap.keys()) == [0, 1, 3, 2, 4]
+        assert pmap.partition_sizes() == {0: 3, 1: 1, 9: 1}
+        # Fewer keys than the dense range: the rest stays unmapped.
+        short = PartitionMap(capacity=4)
+        short.assign_unmapped(2, [5])
+        assert list(short.keys()) == [0, 1]
+
+    @pytest.mark.parametrize("partitions", [[0, -1], [0, 1 << 31], []])
+    def test_assign_unmapped_checks_partitions_before_writing(
+        self, partitions
+    ):
+        pmap = PartitionMap(capacity=3)
+        pmap.assign(1, 0)
+        with pytest.raises(RoutingError):
+            pmap.assign_unmapped(5, partitions)
+        assert list(pmap.items()) == [(1, (0,))]
+        assert (len(pmap), pmap.version) == (1, 1)
+        assert pmap.partition_sizes() == {0: 1}

@@ -102,6 +102,68 @@ class TestPartitionStore:
         assert sorted(store.keys()) == [1, 2, 3]
 
 
+def _state(store):
+    return (
+        len(store), list(store.keys()), list(store.rows()),
+        store.inserts, store.deletes,
+    )
+
+
+class TestBulkLoad:
+    def test_load_equals_one_insert_per_pair(self):
+        store, expected = PartitionStore(0), PartitionStore(0)
+        store.load([3, 1, 2], [30, 10, 20], 16)
+        for key, value in ((3, 30), (1, 10), (2, 20)):
+            expected.insert(Record(key=key, value=value, size_bytes=16))
+        assert _state(store) == _state(expected)
+        assert store.get(1).version == 0
+
+    @pytest.mark.parametrize(
+        "keys, values, size_bytes",
+        [
+            ([7, 8, 7], [1, 2, 3], 8),        # key repeated in the batch
+            ([7, 2], [1, 2], 8),              # key already resident
+            ([7, 8], [1, 2**63], 8),          # value past signed 64-bit
+            ([7, 8], [1, "x"], 8),            # non-int value
+            ([7, 2**63], [1, 2], 8),          # key past signed 64-bit
+            ([7, 8], [1, 2], 2**63),          # size past signed 64-bit
+            ([7, 8], [1], 8),                 # fewer values than keys
+            ([7], [1, 2], 8),                 # more values than keys
+        ],
+    )
+    def test_refused_batch_leaves_the_store_untouched(
+        self, keys, values, size_bytes
+    ):
+        store = PartitionStore(0)
+        store.insert(Record(key=1, value=11))
+        store.insert(Record(key=2, value=22))
+        store.delete(1)
+        before = _state(store)
+        with pytest.raises(StorageError):
+            store.load(keys, values, size_bytes)
+        assert _state(store) == before
+        store.load([7, 8], [1, 2], 8)  # and is still loadable
+        assert list(store.keys()) == [2, 7, 8]
+
+    def test_load_appends_after_residents_and_still_compacts(self):
+        store = PartitionStore(0)
+        store.insert(Record(key=1, value=11))
+        store.insert(Record(key=2, value=22))
+        store.load(iter([5, 6, 7]), iter([55, 66, 77]), 8)
+        assert list(store.keys()) == [1, 2, 5, 6, 7]
+        assert store.inserts == 5
+        # Swap-with-last across the loaded rows, then a fresh append.
+        assert store.delete(2).value == 22
+        assert store.delete(7).value == 77
+        store.insert(Record(key=9, value=99))
+        assert list(store.rows()) == [
+            (1, 11, 0, 8), (5, 55, 0, 8), (6, 66, 0, 8), (9, 99, 0, 8),
+        ]
+        store.write(6, 67)
+        assert (store.read(6), store.get(6).version) == (67, 1)
+        assert store.read(5) == 55
+
+
 class TestCatalog:
     def test_register_and_lookup(self):
         catalog = Catalog()

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, StorageError
+from repro.routing import PartitionMap
 from repro.types import AccessMode
 from repro.workload import (
     ArrivalConfig,
@@ -179,6 +180,21 @@ class TestPlacement:
         pmap = initial_placement(profile, [0, 1], set())
         place_unprofiled_keys(pmap, 100, [0, 1])
         assert len(pmap) == 100
+
+    def test_place_unprofiled_needs_a_partition(self):
+        # As its sibling initial_placement does; it used to die with
+        # ZeroDivisionError.
+        with pytest.raises(ConfigError, match="at least one partition"):
+            place_unprofiled_keys(PartitionMap(4), 4, [])
+
+    def test_load_rejects_a_key_no_store_column_holds(self, env):
+        cluster = Cluster(env, ClusterConfig(node_count=1))
+        pmap = PartitionMap()
+        pmap.assign(1, 0)
+        pmap.assign(2**63, 0)
+        with pytest.raises(StorageError, match=str(2**63)):
+            load_stores(cluster, pmap, PlacementConfig(), random.Random(0))
+        assert len(cluster.nodes[0].store) == 0
 
     def test_load_and_verify_stores(self, env):
         profile = self.make_profile()
