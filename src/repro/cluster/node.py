@@ -185,10 +185,11 @@ class DataNode:
         return self.store
 
     def work(self, units: float) -> Generator[Event, Any, None]:
-        """Process generator: consume ``units`` of this node's capacity."""
+        """Process generator: consume ``units`` of this node's capacity
+        (the server's own generator: no extra frame on every resume)."""
         if self.is_down:
             raise NodeDownError(self.node_id)
-        yield from self.server.work(units)
+        return self.server.work(units)
 
     # ------------------------------------------------------------------
     # Capacity noise

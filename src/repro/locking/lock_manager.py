@@ -51,7 +51,7 @@ def _compatible(requested: LockMode, held: LockMode) -> bool:
     return requested is LockMode.SHARED and held is LockMode.SHARED
 
 
-@dataclass
+@dataclass(slots=True)
 class _Waiter:
     txn_id: TxnId
     mode: LockMode
@@ -59,7 +59,7 @@ class _Waiter:
     is_upgrade: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     holders: dict[TxnId, LockMode] = field(default_factory=dict)
     waiters: deque[_Waiter] = field(default_factory=deque)
@@ -86,6 +86,8 @@ class LockManager:
         #: legally queue several requests for the same key, e.g. an S
         #: request issued while an X request is still waiting).
         self._waiting_by_txn: dict[TxnId, dict[TupleKey, int]] = {}
+        #: The one shared, already-processed event of every immediate grant.
+        self.granted = Event(env).succeed()
         self.grants = 0
         self.waits = 0
         self.deadlock_aborts = 0
@@ -124,20 +126,23 @@ class LockManager:
     def acquire(self, txn_id: TxnId, key: TupleKey, mode: LockMode) -> Event:
         """Request ``mode`` on ``key`` for ``txn_id``.
 
-        Returns an event that succeeds when the lock is granted (it may
-        already be triggered on return for the uncontended path).  If
-        the new wait closes a wait-for cycle, the chosen victim's pending
-        event fails with :class:`DeadlockAbort` — possibly the event
-        returned here.
+        Returns an event that succeeds when the lock is granted.  An
+        immediate grant (uncontended, re-request under a held lock, lone
+        upgrade) returns :attr:`granted`, shared by all of them: test
+        ``is manager.granted`` or ``.triggered``, its ``value`` is
+        unspecified.  Only a request that waits gets an event of its own.
+        If the new wait closes a wait-for cycle, the chosen victim's
+        pending event fails with :class:`DeadlockAbort` — possibly the
+        event returned here.
         """
-        entry = self._table.setdefault(key, _Entry())
-        event = Event(self.env)
+        entry = self._table.get(key)
+        if entry is None:
+            entry = self._table[key] = _Entry()
         held = entry.holders.get(txn_id)
 
         if held is not None:
             if held is LockMode.EXCLUSIVE or held is mode:
-                event.succeed(key)
-                return event
+                return self.granted
             # Upgrade S -> X: jumps the queue, waits only on co-holders.
             others = [t for t in entry.holders if t != txn_id]
             if self.detector is not None:
@@ -150,8 +155,8 @@ class LockManager:
             if not others:
                 entry.holders[txn_id] = LockMode.EXCLUSIVE
                 self.grants += 1
-                event.succeed(key)
-                return event
+                return self.granted
+            event = Event(self.env)
             waiter = _Waiter(txn_id, LockMode.EXCLUSIVE, event, is_upgrade=True)
             entry.waiters.appendleft(waiter)
             self.waits += 1
@@ -159,15 +164,15 @@ class LockManager:
             self._run_deadlock_check(txn_id)
             return event
 
-        grantable = not entry.waiters and all(
-            _compatible(mode, held_mode) for held_mode in entry.holders.values()
-        )
-        if grantable:
-            entry.holders[txn_id] = mode
+        holders = entry.holders
+        if not entry.waiters and (
+            not holders
+            or all(_compatible(mode, held_mode) for held_mode in holders.values())
+        ):
+            holders[txn_id] = mode
             self._held_by_txn.setdefault(txn_id, set()).add(key)
             self.grants += 1
-            event.succeed(key)
-            return event
+            return self.granted
 
         if self.detector is not None:
             # Strict FIFO: whoever is ahead now is all that can ever be
@@ -181,6 +186,7 @@ class LockManager:
                 txn_id,
                 [txn for txn, other in ahead if not _compatible(mode, other)],
             )
+        event = Event(self.env)
         entry.waiters.append(_Waiter(txn_id, mode, event))
         self.waits += 1
         self._begin_wait(txn_id, key, event)

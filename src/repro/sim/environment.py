@@ -1,19 +1,22 @@
 """The discrete-event simulation environment (virtual clock + event loop).
 
-The scheduler is a *bucketed calendar queue* rather than one big binary
-heap.  Pending entries live in four structures:
+The scheduler is a plain FIFO for the present plus a *bucketed calendar
+queue* for the future, rather than one big binary heap.  Pending entries
+live in five structures:
 
+* ``_ready`` — the **same-instant ready queue**: a ``deque`` of
+  ``(event, fn)`` pairs for everything scheduled with ``when == now``
+  (two thirds of a standard cell's entries).  No ``(when, seq)`` key, no
+  sequence number, no heap: appended at the back, served from the front.
 * ``_bucket`` — the **near-future bucket**: a list sorted ascending by
   ``(when, seq)`` consumed left-to-right through ``_pos``.  Nothing is
-  ever inserted into an existing bucket (late arrivals go to the heap
-  below), so a drain of pre-scheduled events costs one C-level
-  ``list.sort`` per bucket plus an index increment per event, instead of
-  a log-N ``heappop`` each.
-* ``_adds`` — a small binary heap of **late arrivals**: entries scheduled
-  *after* the bucket was built whose time falls at or before the
-  bucket's maximum (``_horizon``).  The hot loop merges ``_adds`` and
-  ``_bucket`` by comparing their heads; in the common drain case the
-  heap is empty and the check is a single falsy test.
+  ever inserted into an existing bucket, so a drain of pre-scheduled
+  events costs one C-level ``list.sort`` per bucket plus an index
+  increment per event, instead of a log-N ``heappop`` each.
+* ``_adds`` — a small binary heap of **late arrivals**: future entries
+  scheduled *after* the bucket was built whose time falls before its
+  maximum (``_horizon``).  The hot loop merges ``_adds`` and ``_bucket``
+  by comparing their heads.
 * ``_overflow`` — **far-future** entries already sorted (descending, so
   refills slice cheaply off the tail) by an earlier refill.
 * ``_inbox`` — unsorted far-future entries appended in O(1); merged and
@@ -23,23 +26,36 @@ Refills take the smallest ``bucket_limit`` entries as the new bucket, so
 one sort amortises over up to ``bucket_limit`` pops.  Ordering is exactly
 the classic ``(when, seq)`` heap order — the equivalence suite under
 ``tests/`` proves pop order (and full experiment output) bit-identical to
-the old single-heap scheduler.
+the old single-heap scheduler.  For the FIFO that holds because a heap
+would key everything scheduled at the instant ``now`` as ``(now, seq)``
+with ``seq`` rising in scheduling order, which is first-in-first-out,
+provided four rules are kept:
 
-Entries are flat 4-tuples ``(when, seq, event, fn)``.  ``event`` is the
-usual :class:`~repro.sim.events.Event`; when it is ``None`` the entry is
-a **bare callback** (``fn`` is invoked with no arguments), which lets hot
-internal paths — process kick-off and interrupt delivery — schedule work
-without allocating an Event plus its callbacks list per occurrence.
+1. a *timed* entry (bucket or ``_adds``) due at ``now`` was scheduled at
+   an earlier instant — a smaller ``seq`` — so it is served **before**
+   any ready entry;
+2. *every* ``when == now`` schedule goes to ``_ready``, a zero-delay
+   timeout included (the test is ``now + delay == now``), or ties would
+   lose their order;
+3. with bucket and ``_adds`` spent but ``_overflow``/``_inbox`` not,
+   **refill before serving ready**: a far-future entry can be due at
+   ``now`` exactly (``when == _horizon`` is not ``< _horizon``);
+4. ``peek()``, ``step()``, ``_advance()`` and ``run_intervals()`` all
+   see the ready queue, and a raising callback leaves it consistent, as
+   the ``finally`` write-back does the bucket cursor: the entry that
+   raised is gone, those behind it are served by the next call.
 
-Cancellation stays lazy: detaching a waiter leaves the queue entry in
-place with no callbacks, and the popped entry is skipped for the price of
-an empty-list check — nothing is ever removed from or re-sorted into the
-middle of a bucket.
+A ready entry whose ``event`` is ``None`` is a **bare callback**
+(``fn()``): process kick-off, interrupt delivery and the wake-up after
+yielding a triggered event need no Event plus callbacks list.
+Cancellation stays lazy: a detached waiter's entry stays and pops to an
+empty-list check.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 from math import inf
 from typing import Any, Callable, Generator, Optional
@@ -47,13 +63,14 @@ from typing import Any, Callable, Generator, Optional
 from ..errors import SimulationError
 from .events import AllOf, AnyOf, Event, EventState, Process, Timeout
 
-#: One queue entry: ``(when, seq, event, fn)``.  Exactly one of ``event``
-#: and ``fn`` is set; the last two slots are typed ``Any`` because
-#: narrowing them structurally (a union + isinstance per pop) would put a
-#: check in the hottest loop in the simulator purely for the type
-#: checker's benefit.  ``seq`` is unique, so tuple comparison never
-#: reaches them.
-Entry = tuple[float, int, Any, Any]
+#: One timed queue entry, ``(when, seq, event)`` — ``seq`` is unique, so
+#: tuple comparison never reaches the event — and one same-instant entry,
+#: ``(event, fn)`` with exactly one of the two set.  Those slots are typed
+#: ``Any`` because narrowing them structurally (a union + isinstance per
+#: pop) would put a check in the hottest loop in the simulator purely for
+#: the type checker's benefit.
+Entry = tuple[float, int, Any]
+Ready = tuple[Any, Any]
 
 # Hot-loop locals: every event pop compares against these states, so the
 # enum lookups are hoisted to module level.
@@ -89,8 +106,8 @@ class Environment:
         self._now: float = float(initial_time)
         self._seq: count[int] = count()
         self._bucket_limit: int = bucket_limit
-        # (when, seq, event, fn) entries; see the module docstring for the
-        # four-structure layout.
+        # See the module docstring for the five-structure layout.
+        self._ready: deque[Ready] = deque()
         self._bucket: list[Entry] = []
         self._pos: int = 0  # next unconsumed index into _bucket
         self._adds: list[Entry] = []
@@ -135,11 +152,15 @@ class Environment:
     # Scheduling internals (used by the event classes)
     # ------------------------------------------------------------------
     def _schedule_at(self, when: float, event: Event) -> None:
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule into the past ({when} < {self._now})"
-            )
-        entry = (when, next(self._seq), event, None)
+        now = self._now
+        if when <= now:
+            if when < now:
+                raise SimulationError(
+                    f"cannot schedule into the past ({when} < {now})"
+                )
+            self._ready.append((event, None))
+            return
+        entry = (when, next(self._seq), event)
         if when < self._horizon:
             heapq.heappush(self._adds, entry)
         else:
@@ -152,27 +173,13 @@ class Environment:
             # second entry would pop them twice.  Their callbacks run
             # when the queue reaches the original entry.
             return
-        now = self._now
-        entry = (now, next(self._seq), event, None)
-        if now < self._horizon:
-            heapq.heappush(self._adds, entry)
-        else:
-            self._inbox.append(entry)
+        self._ready.append((event, None))
 
     def _call_soon(self, fn: Callable[[], None]) -> None:
-        """Schedule a bare callback at the current instant.
-
-        Order-equivalent to succeeding a fresh event carrying ``fn`` as
-        its only callback (it consumes one sequence number at the same
-        point), but without allocating the event, its callbacks list, or
-        the trigger bookkeeping.
-        """
-        now = self._now
-        entry = (now, next(self._seq), None, fn)
-        if now < self._horizon:
-            heapq.heappush(self._adds, entry)
-        else:
-            self._inbox.append(entry)
+        """Schedule a bare callback at the current instant: the queue
+        position of a fresh event succeeded with ``fn`` as its only
+        callback, without the event, its list, or the trigger."""
+        self._ready.append((None, fn))
 
     def _refill(self) -> None:
         """Rebuild the near-future bucket from the far-future entries.
@@ -202,50 +209,51 @@ class Environment:
         # it can wait unsorted in the inbox.
         self._horizon = bucket[-1][0]
 
-    def _pop_entry(self) -> Entry:
-        """Remove and return the globally next entry (single-step path)."""
+    def _timed_head(self) -> Optional[Entry]:
+        """The next timed entry, left in place, or ``None``; refills first
+        when bucket and late arrivals are spent (rule 3)."""
         while True:
             bucket = self._bucket
             pos = self._pos
+            adds = self._adds
             if pos < len(bucket):
-                entry = bucket[pos]
-                adds = self._adds
-                if adds and adds[0] < entry:
-                    return heapq.heappop(adds)
-                self._pos = pos + 1
-                return entry
-            if self._adds:
-                return heapq.heappop(self._adds)
-            if self._overflow or self._inbox:
-                self._refill()
-                continue
+                head = bucket[pos]
+                return adds[0] if adds and adds[0] < head else head
+            if adds:
+                return adds[0]
+            if not (self._overflow or self._inbox):
+                return None
+            self._refill()
+
+    def _pop_entry(self) -> Ready:
+        """Remove and return the next ``(event, fn)``; the clock moves to it."""
+        head = self._timed_head()
+        ready = self._ready
+        if ready and (head is None or head[0] > self._now):
+            return ready.popleft()
+        if head is None:
             raise EmptySchedule()
+        adds = self._adds
+        if adds and adds[0] is head:
+            heapq.heappop(adds)
+        else:
+            self._pos += 1
+        self._now = head[0]
+        return head[2], None
 
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``float('inf')``."""
-        while True:
-            bucket = self._bucket
-            pos = self._pos
-            adds = self._adds
-            if pos < len(bucket):
-                when = bucket[pos][0]
-                if adds and adds[0][0] < when:
-                    return adds[0][0]
-                return when
-            if adds:
-                return adds[0][0]
-            if self._overflow or self._inbox:
-                self._refill()
-                continue
-            return inf
+        if self._ready:
+            return self._now
+        head = self._timed_head()
+        return inf if head is None else head[0]
 
     def step(self) -> None:
         """Process the single next event."""
-        when, _seq, event, fn = self._pop_entry()
-        self._now = when
+        event, fn = self._pop_entry()
         if event is None:
             fn()
             return
@@ -262,13 +270,15 @@ class Environment:
     def _advance(self, horizon: float) -> None:
         """Process every event scheduled at or before ``horizon``.
 
-        This is :meth:`step` inlined: the bucket, its cursor, the
-        late-arrival heap, and the state constants are bound to locals so
-        the per-event overhead in the common case is an index increment,
-        one falsy check, and the callbacks themselves.  The cursor is
-        written back in a ``finally`` so a callback raising (or the
-        horizon cutting a bucket short) never loses queue state.
+        This is :meth:`step` inlined: queues, bucket cursor and state
+        constants are locals, so the per-event overhead is a ``popleft``
+        (or an index increment), one falsy check, and the callbacks.  The
+        cursor is written back in a ``finally`` so a callback raising (or
+        the horizon cutting a bucket short) never loses queue state; the
+        ready queue is mutated in place.
         """
+        ready = self._ready
+        next_ready = ready.popleft
         bucket = self._bucket
         pos = self._pos
         blen = len(bucket)
@@ -277,37 +287,53 @@ class Environment:
         pending = _PENDING
         succeeded = _SUCCEEDED
         failed = _FAILED
+        now = self._now
+        # Whether a timed entry may still be due at ``now`` (rule 1); once
+        # none is, ``ready`` drains without looking at the timed side.
+        timed_due = True
         try:
             while True:
-                if pos < blen:
-                    entry = bucket[pos]
-                    if adds and adds[0] < entry:
-                        if adds[0][0] > horizon:
-                            return
-                        entry = pop_add(adds)
+                if timed_due or not ready:
+                    late = False
+                    if pos < blen:
+                        entry = bucket[pos]
+                        if adds and adds[0] < entry:
+                            entry = adds[0]
+                            late = True
+                    elif adds:
+                        entry = adds[0]
+                        late = True
+                    elif self._overflow or self._inbox:
+                        self._pos = pos
+                        self._refill()
+                        bucket = self._bucket
+                        pos = self._pos
+                        blen = len(bucket)
+                        continue
+                    elif ready:
+                        timed_due = False
+                        continue
                     else:
-                        if entry[0] > horizon:
-                            return
-                        pos += 1
-                elif adds:
-                    if adds[0][0] > horizon:
                         return
-                    entry = pop_add(adds)
-                elif self._overflow or self._inbox:
-                    self._pos = pos
-                    self._refill()
-                    bucket = self._bucket
-                    pos = self._pos
-                    blen = len(bucket)
-                    continue
+                    when = entry[0]
+                    if when > now:
+                        if ready:
+                            timed_due = False
+                            continue
+                        if when > horizon:
+                            return
+                        self._now = now = when
+                    if late:
+                        pop_add(adds)
+                    else:
+                        pos += 1
+                    timed_due = True
+                    event = entry[2]
                 else:
-                    return
-                when = entry[0]
-                event = entry[2]
-                self._now = when
-                if event is None:
-                    entry[3]()
-                    continue
+                    event, fn = next_ready()
+                    if event is None:
+                        fn()
+                        continue
                 if event._is_timeout and event._state is pending:
                     event._state = succeeded
                 callbacks, event.callbacks = event.callbacks, None

@@ -13,6 +13,7 @@ and ``AllOf``/``AnyOf`` composition.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -25,6 +26,13 @@ class EventState(enum.Enum):
     PENDING = "pending"
     SUCCEEDED = "succeeded"
     FAILED = "failed"
+
+
+# The kernel reads its own slots (``_state is _PENDING``, ``_value``, ...);
+# the properties, a Python-level call each, are for every other caller.
+_PENDING = EventState.PENDING
+_SUCCEEDED = EventState.SUCCEEDED
+_FAILED = EventState.FAILED
 
 
 class Event:
@@ -48,8 +56,10 @@ class Event:
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
+        #: Waiters, run when the event is processed (``None`` from then
+        #: on).  Only a *pending* event is ever attached to.
         self.callbacks: Optional[list[Callable[["Event"], None]]] = []
-        self._state = EventState.PENDING
+        self._state = _PENDING
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         #: Set by the environment when a failed event's exception was
@@ -85,21 +95,34 @@ class Event:
     # Triggering
     # ------------------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        """Trigger the event successfully with ``value``.
+
+        Waiters run when the queue reaches the entry made here.  With
+        none there is no entry and the event is processed on the spot:
+        nothing attaches to a triggered event (a process yielding one
+        gets ``_wait_on``'s own wake-up, a condition reads it directly).
+        """
+        if self._state is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._state = EventState.SUCCEEDED
+        self._state = _SUCCEEDED
         self._value = value
-        self.env._enqueue_triggered(self)
+        if self.callbacks:
+            self.env._enqueue_triggered(self)
+        else:
+            self.callbacks = None
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed with ``exception``."""
+        """Trigger the event as failed with ``exception``.
+
+        Takes a queue entry even with nobody waiting: an undefused
+        failure escalates out of the event loop when the entry pops.
+        """
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
-        if self.triggered:
+        if self._state is not _PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
-        self._state = EventState.FAILED
+        self._state = _FAILED
         self._exception = exception
         self.env._enqueue_triggered(self)
         return self
@@ -118,10 +141,15 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(env)
-        self.delay = delay
+        # Event.__init__, flat: one per service and network step.
+        self.env = env
+        self.callbacks = []
+        self._state = _PENDING
         self._value = value
-        env._schedule_at(env.now + delay, self)
+        self._exception = None
+        self.defused = False
+        self.delay = delay
+        env._schedule_at(env._now + delay, self)
 
     def succeed(self, value: Any = None) -> "Event":  # pragma: no cover
         raise RuntimeError("Timeout events trigger themselves")
@@ -147,25 +175,27 @@ class Process(Event):
     may wait on its completion.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_wait_callback")
+    __slots__ = ("_generator", "_waiting_on", "_wake_token")
 
     def __init__(self, env: "Environment", generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
+        #: The pending event whose callbacks hold ``self._resume``.
         self._waiting_on: Optional[Event] = None
-        self._wait_callback: Optional[Callable[[Event], None]] = None
-        # Kick the process off at the current instant.  A bare scheduled
-        # callback consumes one sequence number exactly like the
-        # immediately-succeeding start event it replaces, so ordering is
-        # unchanged — without allocating an Event per process start.
-        env._call_soon(self._first_resume)
+        #: While parked on an *already-triggered* event: what the queued
+        #: wake-up must still match to be delivered.
+        self._wake_token: Optional[object] = None
+        # Kick-off at the current instant: send ``None`` into the fresh
+        # generator.  A bare callback takes the queue position of the
+        # immediately-succeeding start event it replaces.
+        env._call_soon(partial(self._step, generator.send, None))
 
     @property
     def is_alive(self) -> bool:
         """``True`` while the underlying generator has not finished."""
-        return not self.triggered
+        return self._state is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -173,39 +203,32 @@ class Process(Event):
         Interrupting a finished process is an error; interrupting a process
         that is waiting on an event detaches it from that event first.
         """
-        if self.triggered:
+        if self._state is not _PENDING:
             raise RuntimeError("cannot interrupt a finished process")
         if self._waiting_on is self:
             raise RuntimeError("a process cannot interrupt itself")
         waiting_on = self._waiting_on
-        if (
-            waiting_on is not None
-            and waiting_on.callbacks is not None
-            and self._wait_callback is not None
-        ):
+        if waiting_on is not None and waiting_on.callbacks is not None:
             try:
-                waiting_on.callbacks.remove(self._wait_callback)
+                waiting_on.callbacks.remove(self._resume)
             except ValueError:  # pragma: no cover - defensive
                 pass
         self._waiting_on = None
-        self._wait_callback = None
+        # A wake-up already queued for a triggered target is now stale.
+        self._wake_token = None
         self.env._call_soon(lambda: self._throw(Interrupt(cause)))
 
     # ------------------------------------------------------------------
     # Internal stepping
     # ------------------------------------------------------------------
-    def _first_resume(self) -> None:
-        """Initial resume: send ``None`` into the fresh generator.
-
-        Equivalent to :meth:`_resume` with a just-succeeded valueless
-        start event, minus the event allocation.
-        """
-        if self.triggered:
-            # The process was interrupted (and finished) before its first
-            # resume; the kick-off callback is stale.
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
+        """Advance the generator off the hot path (kick-off, throw); a
+        no-op on a finished process (a stale kick-off or interrupt)."""
+        if self._state is not _PENDING:
             return
+        self._wake_token = None  # a throw ends whatever wait it lands in
         try:
-            target = self._generator.send(None)
+            target = advance(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -215,64 +238,55 @@ class Process(Event):
         self._wait_on(target)
 
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._state is not _PENDING:
             # Stale wake-up: the process already finished — e.g. it was
             # interrupted before its first resume, so the kick-off (or a
             # pending wait target) still held this callback.
-            if event.failed:
+            if event._state is _FAILED:
                 event.defused = True
             return
         self._waiting_on = None
-        self._wait_callback = None
         try:
-            if event.failed:
+            if event._state is _FAILED:
                 event.defused = True
-                target = self._generator.throw(event.value)
+                target = self._generator.throw(event._exception)
             else:
-                target = self._generator.send(event.value)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - kernel boundary
             self.fail(exc)
             return
-        self._wait_on(target)
+        # _wait_on's common case, inline: park on a pending event.
+        if isinstance(target, Event) and target._state is _PENDING:
+            target.callbacks.append(self._resume)
+            self._waiting_on = target
+        else:
+            self._wait_on(target)
 
     def _throw(self, exc: BaseException) -> None:
-        if self.triggered:  # interrupted after finishing in the same tick
-            return
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as raised:  # noqa: BLE001 - kernel boundary
-            self.fail(raised)
-            return
-        self._wait_on(target)
+        self._step(self._generator.throw, exc)
 
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             self._throw(TypeError(f"process yielded a non-event: {target!r}"))
             return
-        if target.triggered:
-            # Already done: resume on the next tick to keep ordering fair,
-            # via a proxy event so an interrupt can still detach us.
-            proxy = Event(self.env)
-
-            def forward(_proxy: Event, target: Event = target) -> None:
-                self._resume(target)
-
-            assert proxy.callbacks is not None
-            proxy.callbacks.append(forward)
-            proxy.succeed()
-            self._waiting_on = proxy
-            self._wait_callback = forward
+        if target._state is _PENDING:
+            target.callbacks.append(self._resume)
+            self._waiting_on = target
             return
-        assert target.callbacks is not None
-        target.callbacks.append(self._resume)
-        self._waiting_on = target
-        self._wait_callback = self._resume
+        # Already done: resume on the next tick to keep ordering fair —
+        # a bare callback guarded by a token of this one wait, so that an
+        # interrupt detaches us by clearing it and a later wait on the
+        # very same event is told apart.
+        token = self._wake_token = object()
+        self.env._call_soon(partial(self._wake, token, target))
+
+    def _wake(self, token: object, target: Event) -> None:
+        if token is self._wake_token:
+            self._wake_token = None
+            self._resume(target)
 
 
 class Condition(Event):
@@ -291,24 +305,27 @@ class Condition(Event):
             self.succeed(self._collect())
             return
         for event in self._events:
-            if event.triggered:
+            if event._state is not _PENDING:
                 self._on_child(event)
             else:
-                assert event.callbacks is not None
                 event.callbacks.append(self._on_child)
 
     def _collect(self) -> dict[Event, Any]:
-        return {event: event.value for event in self._events if event.ok}
+        return {
+            event: event._value
+            for event in self._events
+            if event._state is _SUCCEEDED
+        }
 
     def _on_child(self, event: Event) -> None:
-        if event.failed:
+        if event._state is _FAILED:
             # Always defuse: a child failing after the condition already
             # triggered must not escalate to the event loop.
             event.defused = True
-        if self.triggered:
+            if self._state is _PENDING:
+                self.fail(event._exception)
             return
-        if event.failed:
-            self.fail(event.value)
+        if self._state is not _PENDING:
             return
         self._count += 1
         if self._satisfied():

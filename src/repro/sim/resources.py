@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from .events import Event
+from .events import Event, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -22,6 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Request(Event):
     """A pending or granted claim on a :class:`Resource` slot."""
+
+    __slots__ = ("resource", "granted")
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
@@ -179,7 +181,7 @@ class WorkServer:
             try:
                 duration = self.service_time(units)
                 self._total_busy_time += duration
-                yield self.env.timeout(duration)
+                yield Timeout(self.env, duration)
             finally:
                 self._resource.release(request)
             return

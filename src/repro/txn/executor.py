@@ -24,7 +24,8 @@ the extra work is exactly the overhead the repartition plan removes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..cluster.cluster import Cluster
@@ -55,6 +56,7 @@ from .two_phase_commit import TwoPhaseCommitCoordinator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
+    from ..storage.wal import WriteAheadLog
 
 #: Node id used for the coordinator (the query-router/TM machine).
 COORDINATOR_NODE_ID = -1
@@ -62,6 +64,9 @@ COORDINATOR_NODE_ID = -1
 #: The two op kinds that copy a tuple, and the lock each takes on its
 #: current primary: exclusive to move it away, shared to replicate it.
 _SOURCE_LOCK = {Migrate: LockMode.EXCLUSIVE, CreateReplica: LockMode.SHARED}
+
+#: Sort key wherever a set of nodes must be walked deterministically.
+_node_id = attrgetter("node_id")
 
 
 @dataclass(frozen=True)
@@ -110,75 +115,55 @@ class ExecutorConfig:
             )
 
 
-class _Journal:
-    """Per-transaction WAL journaling across the nodes it touches.
-
-    Every method is a no-op for nodes without a WAL attached, so the
-    executor pays nothing unless durability logging is enabled.
-    """
-
-    def __init__(self, txn: Transaction) -> None:
-        self.txn = txn
-        self._begun: set[DataNode] = set()
-
-    def _ensure_begun(self, node: DataNode) -> bool:
-        if node.wal is None:
-            return False
-        if node not in self._begun:
-            node.wal.log_begin(self.txn.txn_id)
-            self._begun.add(node)
-        return True
-
-    def write(self, node: DataNode, key: int, value: int) -> None:
-        if self._ensure_begun(node):
-            node.wal.log_write(self.txn.txn_id, key, value)
-
-    def insert(self, node: DataNode, record) -> None:
-        if self._ensure_begun(node):
-            node.wal.log_insert(self.txn.txn_id, record)
-
-    def delete(self, node: DataNode, key: int) -> None:
-        if self._ensure_begun(node):
-            node.wal.log_delete(self.txn.txn_id, key)
-
-    def close(self, committed: bool) -> None:
-        # Sorted for determinism: set iteration order over nodes would
-        # otherwise depend on object identity.
-        for node in sorted(self._begun, key=lambda n: n.node_id):
-            assert node.wal is not None
-            if committed:
-                node.wal.log_commit(self.txn.txn_id)
-            else:
-                node.wal.log_abort(self.txn.txn_id)
-        self._begun.clear()
-
-
-@dataclass(eq=False, slots=True)
 class _Attempt:
     """Everything one execution attempt of one transaction accumulates."""
 
-    txn: Transaction
-    #: The epoch queries route against: the pinned one under the "abort"
-    #: policy, so map churn surfaces as a stale-route abort; ``None``
-    #: (the live epoch, then forward) under "follow".
-    routing_epoch: Optional[MapEpoch]
-    journal: _Journal
-    #: Nodes locked or charged so far (2PC participants, lock release).
-    touched: set[DataNode] = field(default_factory=set)
-    #: ``(node, key, before)`` per applied change, oldest first: ``before``
-    #: is the overwritten ``(value, version)``, or ``None`` for a replica
-    #: this attempt inserted.
-    undo: list[tuple[DataNode, int, Optional[tuple[int, int]]]] = field(
-        default_factory=list
+    __slots__ = (
+        "txn", "routing_epoch", "touched", "undo", "read_routes", "ops",
+        "stage", "journaled",
     )
-    #: (key, partition) pairs reads actually used, for the commit-time
-    #: stale check under the "abort" policy.
-    read_routes: list[tuple[int, PartitionId]] = field(default_factory=list)
-    #: The carried operations that survived the staging-time check.
-    ops: list[RepartitionOperation] = field(default_factory=list)
-    #: Their map changes accumulate here and publish atomically at
-    #: commit; opened only when ``ops`` is non-empty.
-    stage: Optional[EpochStage] = None
+
+    def __init__(self, txn: Transaction, routing_epoch: Optional[MapEpoch]) -> None:
+        self.txn = txn
+        #: The epoch queries route against: the pinned one under the
+        #: "abort" policy, so map churn surfaces as a stale-route abort;
+        #: ``None`` (the live epoch, then forward) under "follow".
+        self.routing_epoch = routing_epoch
+        #: Nodes locked or charged so far (2PC participants, lock release).
+        self.touched: set[DataNode] = set()
+        #: ``(node, key, before)`` per applied change, oldest first:
+        #: ``before`` is the overwritten ``(value, version)``, or ``None``
+        #: for a replica this attempt inserted.
+        self.undo: list[tuple[DataNode, int, Optional[tuple[int, int]]]] = []
+        #: (key, partition) pairs reads actually used, for the commit-time
+        #: stale check under the "abort" policy.
+        self.read_routes: list[tuple[int, PartitionId]] = []
+        #: The carried operations that survived the staging-time check.
+        self.ops: list[RepartitionOperation] = []
+        #: Their map changes accumulate here and publish atomically at
+        #: commit; opened only when ``ops`` is non-empty.
+        self.stage: Optional[EpochStage] = None
+        #: Nodes whose WAL holds this attempt's BEGIN; stays ``None``
+        #: (nothing allocated, nothing to close) without a WAL.
+        self.journaled: Optional[list[DataNode]] = None
+
+    def wal(self, node: DataNode) -> Optional["WriteAheadLog"]:
+        """``node``'s log with this attempt's BEGIN in it, for one more
+        record — ``None`` (journal nothing) for a node without a WAL."""
+        wal = node.wal
+        if wal is not None:
+            if self.journaled is None:
+                self.journaled = []
+            if node not in self.journaled:
+                wal.log_begin(self.txn.txn_id)
+                self.journaled.append(node)
+        return wal
+
+    def close_journal(self, committed: bool) -> None:
+        # Node-id order, as ever (any fixed order would do).
+        for node in sorted(self.journaled or (), key=_node_id):
+            wal = node.wal
+            (wal.log_commit if committed else wal.log_abort)(self.txn.txn_id)
 
 
 class TransactionExecutor:
@@ -226,7 +211,7 @@ class TransactionExecutor:
         # enforced) against this snapshot for the whole attempt.
         pinned = store.pin()
         routing_epoch = pinned if self._abort_on_stale else None
-        attempt = _Attempt(txn, routing_epoch, _Journal(txn))
+        attempt = _Attempt(txn, routing_epoch)
         touched = attempt.touched
 
         try:
@@ -295,9 +280,10 @@ class TransactionExecutor:
             # have crashed while this transaction was busy elsewhere (or
             # right after voting YES).  No COMMIT record has been logged
             # yet, so aborting here is still safe on every node.
-            down = sorted(node.node_id for node in touched if node.is_down)
-            if down:
-                raise NodeDownError(down[0], txn.txn_id)
+            for node in touched:
+                if node.is_down:
+                    first = min(n.node_id for n in touched if n.is_down)
+                    raise NodeDownError(first, txn.txn_id)
 
             # Commit-time stale check: under read_committed a read lock
             # is released early, so a migration may have invalidated the
@@ -309,14 +295,14 @@ class TransactionExecutor:
                         raise StaleRouteAbort(txn.txn_id, key, pid)
 
             self._apply_commit_effects(attempt)
-            attempt.journal.close(committed=True)
+            attempt.close_journal(committed=True)
             txn.status = TxnStatus.COMMITTED
             txn.finished_at = self.env.now
             return True
 
         except TransactionAborted as abort:
             self._undo(attempt)
-            attempt.journal.close(committed=False)
+            attempt.close_journal(committed=False)
             txn.status = TxnStatus.ABORTED
             txn.abort_reason = abort.reason
             txn.abort_cause = abort.cause
@@ -333,7 +319,8 @@ class TransactionExecutor:
             # Release in node-id order: iterating the set directly would
             # make lock-grant order (and thus the whole run) depend on
             # object identity, breaking determinism across runs.
-            for node in sorted(touched, key=lambda n: n.node_id):
+            nodes = touched if len(touched) < 2 else sorted(touched, key=_node_id)
+            for node in nodes:
                 node.locks.release_all(txn.txn_id)
 
     # ------------------------------------------------------------------
@@ -406,7 +393,9 @@ class TransactionExecutor:
             record = node.store.get(key)
             attempt.undo.append((node, key, (record.value, record.version)))
             record.write(query.value)
-            attempt.journal.write(node, key, query.value)
+            wal = attempt.wal(node)
+            if wal is not None:
+                wal.log_write(txn.txn_id, key, query.value)
 
     # ------------------------------------------------------------------
     # Repartition-operation execution
@@ -486,7 +475,9 @@ class TransactionExecutor:
             copy = record.copy()
             dest_node.store.insert(copy)
             attempt.undo.append((dest_node, key, None))
-            attempt.journal.insert(dest_node, copy)
+            wal = attempt.wal(dest_node)
+            if wal is not None:
+                wal.log_insert(txn.txn_id, copy)
 
     def _execute_delete(
         self, attempt: _Attempt, op: DeleteReplica
@@ -557,7 +548,9 @@ class TransactionExecutor:
         node = self.cluster.node_for_partition(partition)
         if key in node.store:
             node.store.delete(key)
-            attempt.journal.delete(node, key)
+            wal = attempt.wal(node)
+            if wal is not None:
+                wal.log_delete(attempt.txn.txn_id, key)
 
     def _report_applied(
         self, op: RepartitionOperation, txn: Transaction
@@ -594,7 +587,10 @@ class TransactionExecutor:
             raise StaleRouteAbort(txn.txn_id, key, node.partition_id)
         if node.is_down:
             raise NodeDownError(node.node_id, txn.txn_id)
-        event = node.locks.acquire(txn.txn_id, key, mode)
+        locks = node.locks
+        event = locks.acquire(txn.txn_id, key, mode)
+        if event is locks.granted:
+            return
         if event.triggered:
             if event.failed:
                 event.defused = True

@@ -20,7 +20,7 @@ from ..partitioning.operations import RepartitionOperation
 from ..routing.query import Query
 from ..sim.events import Event
 from ..sim.resources import Resource
-from ..types import Priority, TxnKind, TxnStatus
+from ..types import Priority, TxnId, TxnKind, TxnStatus
 from .executor import TransactionExecutor
 from .queue import ProcessingQueue
 from .transaction import Transaction
@@ -117,6 +117,8 @@ class TransactionManagerConfig:
             raise ConfigError("idle fraction must be in [0, 1]")
         if self.idle_poll_s <= 0:
             raise ConfigError("idle poll period must be positive")
+        if self.reaper_period_s <= 0:
+            raise ConfigError("reaper period must be positive")
 
 
 class TransactionManager:
@@ -141,6 +143,10 @@ class TransactionManager:
         self.scheduler: SchedulerHook = NullScheduler()
         self._ids = count(1)
         self._slots = Resource(env, self.config.max_concurrent)
+        #: Every *open* normal transaction (submitted; not yet committed,
+        #: reaped, or aborted for good) in first-submission = deadline
+        #: order, for the reaper.  Empty when there is no deadline.
+        self._open: dict[TxnId, Transaction] = {}
         self._dispatcher = env.process(self._dispatch_loop())
         if self.config.queue_timeout_s is not None:
             self._reaper = env.process(self._reaper_loop())
@@ -200,10 +206,13 @@ class TransactionManager:
             txn.priority = priority
         txn.status = TxnStatus.QUEUED
         txn.submitted_at = self.env.now
-        if txn.first_submitted_at is None:
+        first = txn.first_submitted_at is None
+        if first:
             txn.first_submitted_at = self.env.now
         txn.attempts += 1
         if txn.is_normal:
+            if first and self.config.queue_timeout_s is not None:
+                self._open[txn.txn_id] = txn
             # Give the repartition scheduler its piggyback opportunity
             # before the transaction becomes visible to the dispatcher.
             self.scheduler.on_submit(txn)
@@ -256,15 +265,28 @@ class TransactionManager:
             self.env.process(self._run(txn, slot))
 
     def _reaper_loop(self) -> Generator[Event, Any, None]:
-        """Abort queued normal transactions the moment they expire."""
+        """Abort queued normal transactions the moment they expire.
+
+        A scan is O(expired + in flight), not O(queue): it walks the open
+        transactions oldest deadline first, up to the first one in time.
+        The overdue ones that are queued (the rest are caught when they
+        re-queue, or by :meth:`_run`) are aborted in **queue order**, as a
+        walk over the whole waiting queue would: the schedulers see it.
+        """
+        queue = self.queue
         while True:
             yield self.env.timeout(self.config.reaper_period_s)
-            expired = [
-                txn for txn in self.queue.waiting() if self._expired(txn)
-            ]
-            for txn in expired:
-                if self.queue.remove(txn.txn_id) is None:
-                    continue  # dispatched concurrently
+            expired = []
+            for txn in self._open.values():
+                if not self._expired(txn):
+                    break
+                position = queue.position(txn.txn_id)
+                if position is not None:
+                    expired.append((position, txn))
+            expired.sort()  # positions are unique: never compares a txn
+            for _position, txn in expired:
+                if queue.remove(txn.txn_id) is None:
+                    continue  # claimed by an earlier abort's on_finished
                 self._abort_expired(txn)
 
     def _abort_expired(self, txn: Transaction) -> None:
@@ -273,6 +295,7 @@ class TransactionManager:
         txn.abort_cause = QUEUE_TIMEOUT_CAUSE
         txn.finished_at = self.env.now
         self.total_aborted += 1
+        self._open.pop(txn.txn_id, None)
         if self.metrics is not None:
             self.metrics.record_aborted(txn)
         self.scheduler.on_finished(txn, False)
@@ -300,6 +323,7 @@ class TransactionManager:
             self._slots.release(slot)
         if success:
             self.total_committed += 1
+            self._open.pop(txn.txn_id, None)
             if self.metrics is not None:
                 self.metrics.record_committed(txn)
             self.scheduler.on_finished(txn, True)
@@ -318,10 +342,10 @@ class TransactionManager:
             if self.config.retry_repartition:
                 self.env.process(self._resubmit_later(txn))
             return
-        if txn.abort_reason == QUEUE_TIMEOUT_REASON:
-            return  # the client has given up; retrying helps nobody
         if txn.attempts < self.config.max_attempts:
             self.env.process(self._resubmit_later(txn))
+        else:
+            self._open.pop(txn.txn_id, None)
 
     def _retry_delay(self, txn: Transaction) -> float:
         """Exponential backoff with optional jitter for attempt N+1.

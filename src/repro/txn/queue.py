@@ -120,8 +120,15 @@ class ProcessingQueue:
     # Introspection
     # ------------------------------------------------------------------
     def waiting(self) -> list[Transaction]:
-        """Snapshot of every waiting transaction (undefined order)."""
+        """Snapshot of every waiting transaction in **queue order**: put
+        order (ascending :meth:`position`), a re-put or :meth:`reprioritise`
+        moving it to the back.  The reaper's abort order, so model behaviour."""
         return list(self._entries.values())
+
+    def position(self, txn_id: TxnId) -> Optional[int]:
+        """Where ``txn_id`` stands in queue order (``None``: not queued):
+        its live sequence number, larger for whoever was put later."""
+        return self._live_seq.get(txn_id)
 
     def counts_by_priority(self) -> dict[Priority, int]:
         """How many waiting transactions sit at each priority level."""

@@ -9,6 +9,14 @@ log (virtual time + which callback, i.e. the pop order) must be
 identical.  Small ``bucket_limit`` values are included on purpose: they
 force a refill every handful of events, exercising the bucket/overflow
 machinery far harder than the default ever would.
+
+The *same-instant* shapes get their own programs: events succeeded from
+inside a callback with and without a waiter, processes yielding events
+that triggered before the yield, conditions over a pre-triggered child —
+all on small integer delays (zero included) under ``bucket_limit`` 1–3,
+so ties are the rule and entries fall due exactly on the bucket's
+horizon, where a refill has to come before anything scheduled *at* the
+instant is served.
 """
 
 from math import inf
@@ -27,25 +35,53 @@ _delays = st.one_of(
     st.integers(min_value=0, max_value=50).map(float),
 )
 
-_op = st.one_of(
-    # plain timeout with a logging callback
-    st.tuples(st.just("timeout"), _delays),
-    # timeout whose callback schedules more timeouts (the late-arrival
-    # path: inserts land while the current bucket is being drained)
-    st.tuples(st.just("chain"), _delays, st.lists(_delays, max_size=3)),
-    # a process sleeping through several timeouts
-    st.tuples(st.just("proc"), st.lists(_delays, min_size=1, max_size=4)),
-    # a process that interrupts an earlier process mid-sleep
-    st.tuples(st.just("interrupt"), st.integers(0, 7), _delays),
-    # lazy cancellation: the queue entry stays, the callback is detached
-    st.tuples(st.just("cancelled"), _delays),
-    # failed-and-defused timeout: pops once, never escalates
-    st.tuples(st.just("fail"), _delays),
+#: Whole ticks, zero included: ties at one instant are the rule, and
+#: with a tiny bucket the entries land exactly on its horizon.
+_ticks = st.integers(min_value=0, max_value=4).map(float)
+
+
+def _ops(delays):
+    return st.one_of(
+        # plain timeout with a logging callback
+        st.tuples(st.just("timeout"), delays),
+        # timeout whose callback schedules more timeouts (the late-arrival
+        # path: inserts land while the current bucket is being drained)
+        st.tuples(st.just("chain"), delays, st.lists(delays, max_size=3)),
+        # a process sleeping through several timeouts
+        st.tuples(st.just("proc"), st.lists(delays, min_size=1, max_size=4)),
+        # a process that interrupts an earlier process mid-sleep
+        st.tuples(st.just("interrupt"), st.integers(0, 7), delays),
+        # lazy cancellation: the queue entry stays, the callback is detached
+        st.tuples(st.just("cancelled"), delays),
+        # failed-and-defused timeout: pops once, never escalates
+        st.tuples(st.just("fail"), delays),
+        # events succeeded from inside a callback at the same instant, one
+        # after the other; per link, whether anybody waits on it
+        st.tuples(
+            st.just("relay"),
+            delays,
+            st.lists(st.booleans(), min_size=1, max_size=4),
+        ),
+        # a process yielding an event that already succeeded / failed
+        st.tuples(st.just("pretriggered"), delays, st.booleans(), delays),
+        # any_of / all_of over a child that triggered before the condition
+        # was built
+        st.tuples(st.just("condition"), delays, st.booleans(), delays),
+    )
+
+
+#: ``(program, bucket_limit)``: float delays over every bucket size, or
+#: ties everywhere over buckets of 1-3 (the same-instant shapes).
+_cases = st.one_of(
+    st.tuples(
+        st.lists(_ops(_delays), max_size=25),
+        st.sampled_from([1, 2, 3, 7, 64, 2048]),
+    ),
+    st.tuples(
+        st.lists(_ops(_ticks), max_size=25),
+        st.sampled_from([1, 2, 3]),
+    ),
 )
-
-_programs = st.lists(_op, max_size=25)
-
-_bucket_limits = st.sampled_from([1, 2, 3, 7, 64, 2048])
 
 
 def _build(env, program, log):
@@ -109,6 +145,67 @@ def _build(env, program, log):
             timeout.callbacks.append(logging_cb(("failed", index)))
             timeout.fail(RuntimeError("boom"))
             timeout.defused = True
+        elif kind == "relay":
+
+            def relay(_event, index=index, waited=op[2], link=0):
+                # Succeed the links from ``link`` on: an unwaited one
+                # carries no information and the next follows at once; a
+                # waited one hands over to its callback.
+                while link < len(waited):
+                    event = env.event()
+                    if waited[link]:
+
+                        def passed_on(_event, link=link):
+                            log.append((env.now, ("relay", index, link)))
+                            relay(_event, link=link + 1)
+
+                        event.callbacks.append(passed_on)
+                        event.succeed(link)
+                        return
+                    event.succeed(link)
+                    link += 1
+
+            env.timeout(op[1]).callbacks.append(relay)
+        elif kind == "pretriggered":
+
+            def early_bird(delay=op[1], fails=op[2], nap=op[3], index=index):
+                # An interrupt may land while parked on the triggered
+                # event: the wake-up already queued must then be dropped.
+                try:
+                    yield env.timeout(delay)
+                    event = env.event()
+                    if fails:
+                        event.fail(RuntimeError("early"))
+                        event.defused = True
+                    else:
+                        event.succeed("early")
+                    try:
+                        got = yield event
+                    except RuntimeError as error:
+                        got = str(error)
+                    log.append((env.now, ("pretriggered", index, got)))
+                    yield env.timeout(nap)
+                    log.append((env.now, ("napped", index)))
+                except Interrupt as interrupt:
+                    log.append(
+                        (env.now, ("bird interrupted", index, interrupt.cause))
+                    )
+
+            procs.append(env.process(early_bird()))
+        elif kind == "condition":
+
+            def conditional(delay=op[1], any_of=op[2], other=op[3], index=index):
+                yield env.timeout(delay)
+                done = env.event()
+                done.succeed("early")
+                children = [done, env.timeout(other, value="late")]
+                condition = (env.any_of if any_of else env.all_of)(children)
+                results = yield condition
+                log.append(
+                    (env.now, ("condition", index, sorted(results.values())))
+                )
+
+            env.process(conditional())
     return procs
 
 
@@ -149,20 +246,20 @@ def _execute_intervals(make_env, program):
 
 
 class TestPopOrderEquivalence:
-    @settings(max_examples=200, deadline=None)
-    @given(program=_programs, bucket_limit=_bucket_limits)
-    def test_run_produces_identical_firing_log(self, program, bucket_limit):
+    @settings(max_examples=400, deadline=None)
+    @given(case=_cases)
+    def test_run_produces_identical_firing_log(self, case):
+        program, bucket_limit = case
         reference = _execute(HeapqEnvironment, program)
         actual = _execute(
             lambda: Environment(bucket_limit=bucket_limit), program
         )
         assert actual == reference
 
-    @settings(max_examples=100, deadline=None)
-    @given(program=_programs, bucket_limit=_bucket_limits)
-    def test_stepwise_peek_and_pop_schedule_identical(
-        self, program, bucket_limit
-    ):
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cases)
+    def test_stepwise_peek_and_pop_schedule_identical(self, case):
+        program, bucket_limit = case
         ref_log, ref_trace = _execute_stepwise(HeapqEnvironment, program)
         log, trace = _execute_stepwise(
             lambda: Environment(bucket_limit=bucket_limit), program
@@ -170,9 +267,10 @@ class TestPopOrderEquivalence:
         assert log == ref_log
         assert trace == ref_trace
 
-    @settings(max_examples=100, deadline=None)
-    @given(program=_programs, bucket_limit=_bucket_limits)
-    def test_interval_batched_run_identical(self, program, bucket_limit):
+    @settings(max_examples=200, deadline=None)
+    @given(case=_cases)
+    def test_interval_batched_run_identical(self, case):
+        program, bucket_limit = case
         ref = _execute_intervals(HeapqEnvironment, program)
         actual = _execute_intervals(
             lambda: Environment(bucket_limit=bucket_limit), program

@@ -269,3 +269,137 @@ class TestRunIntervals:
             env.run_intervals(0.0, 3)
         with pytest.raises(ValueError):
             env.run_intervals(1.0, -1)
+
+
+class TestSameInstant:
+    """Work scheduled *at* the current instant, between timed entries."""
+
+    @staticmethod
+    def _log_at(env, log, delay, tag, then=None):
+        """A timeout due after ``delay`` that logs ``tag`` (then calls
+        ``then``, still inside the callback)."""
+
+        def fire(_event):
+            log.append((env.now, tag))
+            if then is not None:
+                then()
+
+        env.timeout(delay).callbacks.append(fire)
+
+    @staticmethod
+    def _log_now(env, log, tag, then=None):
+        """An event succeeded right now whose waiter logs ``tag``."""
+
+        def fire(_event):
+            log.append((env.now, tag))
+            if then is not None:
+                then()
+
+        event = env.event()
+        event.callbacks.append(fire)
+        event.succeed()
+
+    def test_peek_is_now_while_same_instant_work_is_pending(self, env):
+        log = []
+        self._log_at(env, log, 5, "a", lambda: self._log_now(env, log, "r"))
+        self._log_at(env, log, 7, "later")
+        env.step()
+        assert (env.now, log) == (5.0, [(5.0, "a")])
+        assert env.peek() == 5.0  # "r" is due now, not at 7
+        env.step()
+        assert log[-1] == (5.0, "r")
+        assert env.peek() == 7.0
+
+    def test_step_serves_timed_entry_due_now_before_same_instant_work(
+        self, env
+    ):
+        log = []
+        # "a" and "b" were both scheduled at t=0 for t=5; "r" is scheduled
+        # at t=5 from inside "a", so it carries the larger sequence number.
+        self._log_at(env, log, 5, "a", lambda: self._log_now(env, log, "r"))
+        self._log_at(env, log, 5, "b")
+        for _ in range(3):
+            env.step()
+        assert log == [(5.0, "a"), (5.0, "b"), (5.0, "r")]
+
+    def test_zero_delay_timeout_keeps_its_place_among_same_instant_work(
+        self, env
+    ):
+        log = []
+
+        def burst():
+            self._log_now(env, log, "first")
+            self._log_at(env, log, 0, "zero-delay")
+            self._log_now(env, log, "last")
+
+        self._log_at(env, log, 5, "a", burst)
+        env.run()
+        assert [tag for _when, tag in log] == [
+            "a", "first", "zero-delay", "last",
+        ]
+        assert {when for when, _tag in log} == {5.0}
+
+    @pytest.mark.parametrize("bucket_limit", [1, 2, 3, 2048])
+    def test_run_split_inside_an_instant_equals_one_call(self, bucket_limit):
+        def simulate(split):
+            env = Environment(bucket_limit=bucket_limit)
+            log = []
+
+            def cascade(depth):
+                if depth:
+                    self._log_now(
+                        env, log, ("r", depth), lambda: cascade(depth - 1)
+                    )
+
+            self._log_at(env, log, 5, "a", lambda: cascade(3))
+            self._log_at(env, log, 5, "b", lambda: cascade(2))
+            self._log_at(env, log, 5, "c")
+            self._log_at(env, log, 6, "d", lambda: cascade(1))
+            if split:
+                for _ in range(4):  # a, b, c and the first same-instant pop
+                    env.step()
+                assert env.now == 5.0
+                env.run(until=5)  # finishes the instant, clock stays put
+                assert env.now == 5.0
+                env.run(until=5)  # nothing left at t=5
+                self._log_at(env, log, 0, "boundary")
+                env.run(until=5)
+                env.run(until=10)
+            else:
+                env.run(until=5)
+                self._log_at(env, log, 0, "boundary")
+                env.run(until=10)
+            return log, env.now
+
+        whole = simulate(split=False)
+        assert simulate(split=True) == whole
+        assert len(whole[0]) == 4 + 3 + 2 + 1 + 1
+
+    @pytest.mark.parametrize("bucket_limit", [1, 2, 2048])
+    def test_raising_callback_neither_replays_nor_loses_entries(
+        self, bucket_limit
+    ):
+        env = Environment(bucket_limit=bucket_limit)
+        log = []
+
+        def explode():
+            raise RuntimeError("callback blew up")
+
+        def burst():
+            self._log_now(env, log, "r1", explode)
+            self._log_now(env, log, "r2")
+
+        self._log_at(env, log, 5, "a", burst)
+        self._log_at(env, log, 5, "b", explode)
+        self._log_at(env, log, 5, "c")
+        self._log_at(env, log, 6, "d")
+        for _ in range(2):  # once from a timed entry, once from same-instant
+            with pytest.raises(RuntimeError, match="blew up"):
+                env.run()
+        assert env.now == 5.0
+        env.run()
+        assert log == [
+            (5.0, "a"), (5.0, "b"), (5.0, "c"),
+            (5.0, "r1"), (5.0, "r2"), (6.0, "d"),
+        ]
+        assert env.peek() == float("inf")

@@ -266,6 +266,146 @@ class TestInterrupt:
         env.run(until=50)           # t=10 timeout still fires; must be inert
         assert out == [2.0]
 
+    @staticmethod
+    def _park_on_triggered_then_interrupt(env, target_event, log):
+        """A sleeper that yields the already-triggered ``target_event``
+        at t=1 and a killer that interrupts it at the same instant,
+        before the sleeper's same-instant wake-up is served."""
+
+        def sleeper():
+            yield env.timeout(1)
+            for lap in range(2):
+                try:
+                    got = yield target_event
+                    log.append((env.now, "resumed", lap, got))
+                except Interrupt as interrupt:
+                    log.append((env.now, "interrupted", lap, interrupt.cause))
+                except KeyError as error:
+                    log.append((env.now, "thrown", lap, error.args[0]))
+            yield env.timeout(1)
+            log.append((env.now, "done"))
+
+        target = env.process(sleeper())
+
+        def killer():
+            # Scheduled after the sleeper's timeout for the same instant:
+            # runs right after the sleeper parked, ahead of its wake-up.
+            yield env.timeout(1)
+            target.interrupt("now")
+
+        env.process(killer())
+        return target
+
+    def test_interrupt_while_parked_on_triggered_event(self, env):
+        """The stale wake-up is dropped, and a second wait on the *same*
+        triggered event is a wait of its own: resumed exactly once."""
+        done = env.event()
+        done.succeed("early")
+        log = []
+        target = self._park_on_triggered_then_interrupt(env, done, log)
+        env.run()
+        assert log == [
+            (1.0, "interrupted", 0, "now"),
+            (1.0, "resumed", 1, "early"),
+            (2.0, "done"),
+        ]
+        assert target.ok
+
+    def test_interrupt_while_parked_on_failed_triggered_event(self, env):
+        """A failed pre-triggered target is thrown into the waiter — on
+        the wait the interrupt did not cut short."""
+        broken = env.event()
+        broken.fail(KeyError("broken"))
+        broken.defused = True  # its own queue entry pops before any waiter
+        log = []
+        self._park_on_triggered_then_interrupt(env, broken, log)
+        env.run()
+        assert log == [
+            (1.0, "interrupted", 0, "now"),
+            (1.0, "thrown", 1, "broken"),
+            (2.0, "done"),
+        ]
+
+    @pytest.mark.parametrize("reparks", [False, True])
+    def test_second_interrupt_ends_wait_on_triggered_event(self, env, reparks):
+        """Two interrupts queued in one instant: the process parks on a
+        triggered event while handling the first, the second lands in
+        that wait and ends it.  The wake-up queued for it is stale: it
+        must neither resume the process out of a sleep that follows, nor
+        stand in for the wake-up of a *second* wait on the same event,
+        which has its own, later place in the queue.  (The proxy events
+        this replaced resumed the process twice here.)"""
+        done = env.event()
+        done.succeed("early")
+        log = []
+
+        def sleeper():
+            for lap in range(3):
+                parks = lap == 1 or (lap == 2 and reparks)
+                try:
+                    got = yield (done if parks else env.timeout(10))
+                    log.append((env.now, "resumed", lap, got))
+                except Interrupt as interrupt:
+                    log.append((env.now, "interrupted", lap, interrupt.cause))
+
+        target = env.process(sleeper())
+
+        def mark_later(_event):
+            marker = env.event()
+            marker.callbacks.append(lambda _e: log.append((env.now, "marker")))
+            marker.succeed()
+
+        def killer():
+            yield env.timeout(1)
+            target.interrupt("first")
+            # Runs between the two throws and queues the marker: behind
+            # the first wait's wake-up, ahead of the second's.
+            relay = env.event()
+            relay.callbacks.append(mark_later)
+            relay.succeed()
+            target.interrupt("second")
+
+        env.process(killer())
+        env.run()
+        assert log == [
+            (1.0, "interrupted", 0, "first"),
+            (1.0, "interrupted", 1, "second"),
+            (1.0, "marker"),
+            (1.0, "resumed", 2, "early") if reparks else (11.0, "resumed", 2, None),
+        ]
+
+    def test_failed_triggered_target_is_defused_by_its_waiter(self, env):
+        """Yielding an event that failed earlier delivers the exception
+        and marks it handled, like a wait that began before the failure."""
+        broken = env.event()
+        caught = []
+
+        def first_waiter():
+            try:
+                yield broken
+            except KeyError as error:
+                caught.append((env.now, "first", error.args[0]))
+
+        def failer():
+            yield env.timeout(1)
+            broken.fail(KeyError("broken"))
+
+        def late_waiter():
+            yield env.timeout(2)
+            assert broken.failed
+            broken.defused = False  # the late waiter must handle it anew
+            try:
+                yield broken
+            except KeyError as error:
+                caught.append((env.now, "late", error.args[0]))
+
+        env.process(first_waiter())
+        env.process(failer())
+        env.process(late_waiter())
+        env.run()
+        assert caught == [(1.0, "first", "broken"), (2.0, "late", "broken")]
+        assert broken.defused
+
 
 class TestConditions:
     def test_all_of_waits_for_every_event(self, env):

@@ -196,6 +196,16 @@ class TestQueueDeadline:
         stack.env.run(until=200)
         assert rep.committed
 
+    @pytest.mark.parametrize("period", [0, -1.0])
+    def test_non_positive_reaper_period_rejected(self, period):
+        """Zero would spin the reaper forever at one instant; a negative
+        period used to surface as a bare ValueError at run time."""
+        from repro.errors import ConfigError
+        from repro.txn.manager import TransactionManagerConfig
+
+        with pytest.raises(ConfigError, match="reaper period"):
+            TransactionManagerConfig(queue_timeout_s=5.0, reaper_period_s=period)
+
 
 class TestLowPriorityIdling:
     def test_low_priority_waits_for_idleness(self):
