@@ -25,8 +25,9 @@ from ..core import (
     register,
 )
 
-#: Modules whose classes are allocated per-event / per-record.
+#: Modules whose classes are allocated per event, record or planned key.
 HOT_PATH_MODULES = (
+    "src/repro/partitioning/operations.py",
     "src/repro/sim/events.py",
     "src/repro/storage/partition_store.py",
     "src/repro/storage/record.py",

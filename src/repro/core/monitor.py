@@ -33,7 +33,7 @@ from ..routing.epoch import PartitionMapStore
 from ..txn.transaction import Transaction
 from ..types import TupleKey
 from ..workload.profile import TransactionType, WorkloadProfile
-from .repartitioner import Repartitioner
+from .repartitioner import Repartitioner, collector_paused
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
@@ -318,10 +318,11 @@ class AutoRepartitioner:
             rate, mean_cost, self.capacity_units_per_s
         ):
             return
-        plan = self.optimizer.derive_plan(profile, pmap)
-        specs = self.repartitioner.rank_plan(plan, profile)
-        if not specs:
-            return
-        self.repartitioner.submit(specs)
+        with collector_paused():
+            plan = self.optimizer.derive_plan(profile, pmap)
+            specs = self.repartitioner.rank_plan(plan, profile)
+            if not specs:
+                return
+            self.repartitioner.submit(specs)
         self.plans_submitted += 1
         self._cooldown = self.config.cooldown_intervals

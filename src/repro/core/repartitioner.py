@@ -11,6 +11,7 @@ and the metrics collector (interval observations).
 
 from __future__ import annotations
 
+import gc
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..metrics.collectors import MetricsCollector
@@ -27,6 +28,26 @@ from .session import RepartitionSession
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.environment import Environment
+
+
+class collector_paused:
+    """``with collector_paused():`` — no cyclic collection inside the block.
+
+    A plan allocates a few objects per key and frees none, so every pass
+    while it is built walks it all for nothing (a third of the call at 23k
+    types); ``src/`` has no finalizer or weak reference, so *when* a cycle
+    dies cannot reach the model.  Re-entrant, exception-safe, leaves a
+    disabled collector disabled.  No ``gc.freeze()``: no gain measured,
+    and frozen cells would pile up in a warm worker pool.
+    """
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._was_enabled:
+            gc.enable()
 
 
 class Repartitioner:

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from .cluster.node import DataNode, NodeState
 from .core.ranking import chunk_specs
+from .core.repartitioner import collector_paused
 from .core.session import RepState
 from .errors import ConfigError, MembershipError
 from .partitioning.elastic import plan_drain, plan_rebalance
@@ -349,12 +350,13 @@ class ElasticityController:
         if not ops:
             return []
         self.migration_ops_planned += len(ops)
-        specs = self.repartitioner.rank_plan(
-            plan, self.profile, operations=ops
-        )
-        return self.repartitioner.submit(
-            chunk_specs(specs, self.schedule.max_ops_per_txn)
-        )
+        with collector_paused():
+            specs = self.repartitioner.rank_plan(
+                plan, self.profile, operations=ops
+            )
+            return self.repartitioner.submit(
+                chunk_specs(specs, self.schedule.max_ops_per_txn)
+            )
 
     # ------------------------------------------------------------------
     # Interval hook: policy, pump, completion

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
 from ..cluster.cluster import Cluster
-from ..core.repartitioner import Repartitioner
+from ..core.repartitioner import Repartitioner, collector_paused
 from ..core.schedulers import (
     AfterAllScheduler,
     ApplyAllScheduler,
@@ -307,22 +307,23 @@ def start_repartitioning(
     system: System, spec_transform: Optional[SpecTransform] = None
 ) -> RepartitionSession:
     """Derive, rank, and begin deploying the repartition plan (now)."""
-    # Plan against the post-transition node set: ACTIVE plus JOINING
-    # partitions are placement targets, DRAINING/RETIRED are not.
-    optimizer = RepartitionOptimizer(
-        system.cost_model, system.cluster.placement_partition_ids
-    )
-    types_to_fix = [
-        t for t in system.profile.types
-        if t.type_id in system.distributed_type_ids
-    ]
-    plan = optimizer.derive_plan(
-        system.profile, system.router.store.current_epoch, types_to_fix
-    )
-    specs = system.repartitioner.rank_plan(plan, system.profile)
-    if spec_transform is not None:
-        specs = spec_transform(specs)
-    system.repartitioner.submit(specs)
+    with collector_paused():
+        # Plan against the post-transition node set: ACTIVE plus JOINING
+        # partitions are placement targets, DRAINING/RETIRED are not.
+        optimizer = RepartitionOptimizer(
+            system.cost_model, system.cluster.placement_partition_ids
+        )
+        types_to_fix = [
+            t for t in system.profile.types
+            if t.type_id in system.distributed_type_ids
+        ]
+        plan = optimizer.derive_plan(
+            system.profile, system.router.store.current_epoch, types_to_fix
+        )
+        specs = system.repartitioner.rank_plan(plan, system.profile)
+        if spec_transform is not None:
+            specs = spec_transform(specs)
+        system.repartitioner.submit(specs)
     session = system.repartitioner.session
     assert session is not None
     return session

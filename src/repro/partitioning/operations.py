@@ -34,7 +34,7 @@ class ReplicaView(Protocol):
     def primary_of(self, key: TupleKey) -> PartitionId: ...
 
 
-@dataclass
+@dataclass(slots=True)
 class RepartitionOperation:
     """Base class for the three repartition operation kinds."""
 
@@ -61,7 +61,7 @@ class RepartitionOperation:
         return self.partitions_touched
 
 
-@dataclass
+@dataclass(slots=True)
 class CreateReplica(RepartitionOperation):
     """Insert a new replica of ``key`` into ``destination``."""
 
@@ -87,7 +87,7 @@ class CreateReplica(RepartitionOperation):
         return self.destination in view.replicas_of(self.key)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeleteReplica(RepartitionOperation):
     """Delete the replica of ``key`` residing on ``partition``."""
 
@@ -105,7 +105,7 @@ class DeleteReplica(RepartitionOperation):
         return self.partition not in view.replicas_of(self.key)
 
 
-@dataclass
+@dataclass(slots=True)
 class Migrate(RepartitionOperation):
     """Relocate ``key`` from ``source`` to ``destination``."""
 

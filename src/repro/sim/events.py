@@ -8,6 +8,11 @@ time and resumes each generator when the event it waits on is triggered.
 Only the pieces the SOAP reproduction needs are implemented, but they are
 implemented completely: success/failure propagation, process interruption,
 and ``AllOf``/``AnyOf`` composition.
+
+No-cycle rule: **an event never holds a reference that leads back to
+itself once it has triggered** (a granted request carries no value, a
+triggered condition drops its children), so whatever a transaction
+allocates dies by reference count and the cyclic collector has no work.
 """
 
 from __future__ import annotations
@@ -290,13 +295,17 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Base for composite events over a set of child events."""
+    """Base for composite events over a set of child events.
+
+    Stays attached to its children (one failing late is still defused) but
+    drops its references *to* them when it triggers: the no-cycle rule.
+    """
 
     __slots__ = ("_events", "_count")
 
     def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
         super().__init__(env)
-        self._events = list(events)
+        self._events: tuple[Event, ...] = tuple(events)
         for event in self._events:
             if event.env is not env:
                 raise ValueError("all events must belong to the same environment")
@@ -324,12 +333,14 @@ class Condition(Event):
             event.defused = True
             if self._state is _PENDING:
                 self.fail(event._exception)
+                self._events = ()
             return
         if self._state is not _PENDING:
             return
         self._count += 1
         if self._satisfied():
             self.succeed(self._collect())
+            self._events = ()
 
     def _satisfied(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

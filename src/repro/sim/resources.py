@@ -63,7 +63,9 @@ class Resource:
         return len(self._waiting)
 
     def request(self) -> Request:
-        """Ask for a slot; the returned event succeeds when granted."""
+        """Ask for a slot; the returned event succeeds when granted — with
+        an unspecified value (carrying itself would be a reference cycle):
+        keep the request in a local, as in the usage above."""
         req = Request(self)
         if self._in_use < self.capacity:
             self._grant(req)
@@ -110,7 +112,7 @@ class Resource:
     def _grant(self, request: Request) -> None:
         request.granted = True
         self._in_use += 1
-        request.succeed(request)
+        request.succeed()
 
 
 class WorkServer:

@@ -183,11 +183,12 @@ class TransactionManager:
         cost: float = 0.0,
         benefit_density: float = 0.0,
     ) -> Transaction:
-        """Build a repartition transaction (not yet submitted)."""
+        """Build a repartition transaction (not yet submitted).  ``ops`` is
+        adopted: a ``rep_ops`` list is copied or rebound, never mutated."""
         return Transaction(
             txn_id=self.next_id(),
             kind=TxnKind.REPARTITION,
-            rep_ops=list(ops),
+            rep_ops=ops,
             type_id=type_id,
             benefit=benefit,
             cost=cost,

@@ -1,5 +1,6 @@
 """Shared pytest fixtures; also makes the suite runnable uninstalled."""
 
+import gc
 import pathlib
 import sys
 
@@ -16,3 +17,43 @@ from repro.sim import Environment  # noqa: E402
 def env() -> Environment:
     """A fresh simulation environment."""
     return Environment()
+
+
+@pytest.fixture
+def collector_restored():
+    """Whatever the test does to the cyclic collector's on/off state is
+    undone afterwards."""
+    was_enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.fixture
+def collector_off(collector_restored):
+    """The cyclic collector is off for the test, with nothing left for it:
+    whatever is reclaimed meanwhile was reclaimed by reference count."""
+    # A system dropped at its horizon takes two passes: the first runs the
+    # ``finally`` blocks of its suspended generators, the next frees it.
+    for _ in range(4):
+        if not gc.collect():
+            break
+    gc.disable()
+
+
+@pytest.fixture
+def collector_at_submit(monkeypatch):
+    """``gc.isenabled()`` as read on entry to every
+    ``Repartitioner.submit`` of the test, in call order."""
+    from repro.core import Repartitioner
+
+    seen = []
+    submit = Repartitioner.submit
+
+    def watched_submit(self, specs):
+        seen.append(gc.isenabled())
+        return submit(self, specs)
+
+    monkeypatch.setattr(Repartitioner, "submit", watched_submit)
+    return seen

@@ -1,5 +1,7 @@
 """Tests for workload-history monitoring and the automatic trigger loop."""
 
+import gc
+
 import pytest
 
 from repro.core import (
@@ -133,6 +135,16 @@ class TestAutoRepartitioner:
         # The observed type's keys are now collocated.
         homes = {stack.pmap.primary_of(0), stack.pmap.primary_of(1)}
         assert len(homes) == 1
+
+    def test_re_plan_runs_with_the_collector_paused(self, collector_at_submit):
+        stack = build_stack(capacity=1.0)
+        monitor, _repartitioner, auto = self.build(stack, threshold=0.5)
+        for _ in range(30):
+            monitor.observe(make_txn(stack, 1, (0, 1)))
+        assert gc.isenabled()
+        stack.env.run(until=45)
+        assert auto.plans_submitted == 1 and collector_at_submit == [False]
+        assert gc.isenabled()
 
     def test_cooldown_prevents_thrashing(self):
         stack = build_stack(capacity=0.5)

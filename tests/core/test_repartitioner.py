@@ -1,7 +1,64 @@
 """Tests for the Repartitioner coordinator."""
 
+import ast
+import gc
+from pathlib import Path
+
+import pytest
+
+from repro.core.repartitioner import collector_paused
 from repro.core.session import RepState
 from repro.types import Priority
+
+
+@pytest.mark.usefixtures("collector_restored")
+class TestCollectorPaused:
+    """The one scoped pause every plan source builds its plan under."""
+
+    def test_paused_inside_and_restored_after(self):
+        gc.enable()
+        settings = gc.get_threshold(), gc.get_freeze_count()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        assert (gc.get_threshold(), gc.get_freeze_count()) == settings
+
+    def test_re_entrant(self):
+        gc.enable()
+        with collector_paused():
+            with collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()  # the outer pause still holds
+        assert gc.isenabled()
+
+    def test_a_collector_found_disabled_stays_disabled(self):
+        gc.disable()
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_restored_when_the_block_raises(self):
+        gc.enable()
+        with pytest.raises(KeyError):
+            with collector_paused():
+                raise KeyError("plan failed")
+        assert gc.isenabled()
+
+    def test_nothing_else_under_src_touches_the_collector(self):
+        """No second pause, no ``freeze``, no threshold tuning: the
+        module that defines the helper is the only one importing ``gc``."""
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        importers = set()
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = []
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                if "gc" in names:
+                    importers.add(path.relative_to(src).as_posix())
+        assert importers == {"core/repartitioner.py"}
 
 
 class TestRankPlan:

@@ -9,6 +9,7 @@ between serial and parallel execution and through the result cache.
 """
 
 import dataclasses
+import gc
 
 from repro.cluster import ClusterConfig, NodeState
 from repro.elasticity import parse_elasticity_schedule
@@ -97,6 +98,16 @@ class TestScaleOutIn:
         assert len(joiner.store) == 0
         sizes = system.store.partition_sizes()
         assert sizes.get(joiner.partition_id, 0) == 0
+
+    def test_every_plan_source_submits_with_the_collector_paused(
+        self, collector_at_submit
+    ):
+        assert gc.isenabled()
+        system = run_system(elastic_config())
+        # The workload plan, the rebalance onto the joiner, its drain.
+        assert system.elasticity_controller.quiescent
+        assert len(collector_at_submit) >= 3 and not any(collector_at_submit)
+        assert gc.isenabled()
 
     def test_census_series_recorded(self):
         system = run_system(elastic_config())

@@ -3,7 +3,7 @@
 Two regression gates:
 
 * a **process-level budget** for the 1M-tuple ``production_scale``
-  dataset build, measured by ``ru_maxrss`` in a fresh interpreter so
+  dataset build, measured by ``VmHWM`` in a fresh interpreter so
   the number is the stack's, not the test runner's.  The column store
   and dense map build this in ~170 MB; an object per tuple and a dict
   entry per key needed roughly twice that, so the 250 MB ceiling
@@ -26,8 +26,28 @@ from repro.storage import PartitionStore, Record
 #: KB ceiling for building the 1M-tuple preset in a fresh process.
 PEAK_RSS_BUDGET_KB = 250_000
 
-_BUILD_SNIPPET = """
+#: Prints the process's own peak resident set in KB.  ``VmHWM`` belongs
+#: to the address space and starts over at ``exec``; a child's
+#: ``ru_maxrss`` starts at its parent's resident size at fork, so that
+#: number is the test runner's whenever the runner is the larger of the
+#: two.  It is the fallback where there is no ``/proc``.
+_PEAK_RSS_SNIPPET = """
 import resource
+
+def peak_rss_kb():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+print(peak_rss_kb())
+"""
+
+_BUILD_SNIPPET = """
 from repro.experiments import production_scale
 from repro.routing import PartitionMap
 from repro.sim.random import RandomStreams
@@ -55,21 +75,36 @@ loaded = load_placement(
     streams.stream("values"),
 )
 assert loaded == sum(len(s) for s in stores) == config.workload.tuple_count
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+""" + _PEAK_RSS_SNIPPET
 
 
-def test_million_tuple_build_stays_under_rss_budget():
+def _peak_rss_kb_of(snippet: str) -> int:
+    """Run ``snippet`` in a fresh interpreter; the number it prints last."""
     src = Path(__file__).resolve().parents[2] / "src"
     result = subprocess.run(
-        [sys.executable, "-c", _BUILD_SNIPPET],
+        [sys.executable, "-c", snippet],
         env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    peak_kb = int(result.stdout.strip().splitlines()[-1])
+    return int(result.stdout.strip().splitlines()[-1])
+
+
+def test_peak_rss_reader_does_not_measure_its_parent():
+    ballast_kb = 300 * 1024
+    ballast = b"x" * (ballast_kb * 1024)  # written, hence resident
+    peak_kb = _peak_rss_kb_of(_PEAK_RSS_SNIPPET)
+    assert len(ballast) == ballast_kb * 1024
+    assert 0 < peak_kb < ballast_kb, (
+        f"a bare interpreter under a {ballast_kb} KB parent reports "
+        f"{peak_kb} KB: the reader measures the process that started it"
+    )
+
+
+def test_million_tuple_build_stays_under_rss_budget():
+    peak_kb = _peak_rss_kb_of(_BUILD_SNIPPET)
     assert peak_kb < PEAK_RSS_BUDGET_KB, (
         f"1M-tuple production_scale build peaked at {peak_kb} KB "
         f"(budget {PEAK_RSS_BUDGET_KB} KB); the memory-lean stack "

@@ -7,10 +7,18 @@ profiled key to plan).  ``cProfile``'s ``total_calls`` is a count, the
 same on every machine and every run, so these gates say "no per-tuple
 ladder came back" without a wall-clock threshold — in the spirit of
 ``BENCH_locking.json``'s ``depth128_over_depth1``.
+
+The same goes for the cyclic collector: a plan is a quarter of a million
+live objects at the paper's size and every pass over it while it is being
+built is futile, so the number of collections between entry to and return
+from ``start_repartitioning`` is gated too — at zero.
 """
 
 import cProfile
+import gc
 import pstats
+
+import pytest
 
 from repro.experiments import build_system, medium_scale, start_repartitioning
 
@@ -45,3 +53,48 @@ def test_build_and_plan_stay_inside_their_call_budgets():
         f"start_repartitioning made {plan_calls / profiled_keys:.1f} "
         "calls per profiled key"
     )
+
+
+def _collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("case", ["enabled", "disabled", "transform raises"])
+def test_no_collection_runs_while_the_plan_is_built(case, collector_restored):
+    config = medium_scale("Hybrid", "zipf", "low", alpha=1.0, seed=0)
+    system = build_system(config)
+    collections = [0, 0, 0]
+    inside = [False]
+
+    def count(phase, info):
+        if inside[0] and phase == "start":
+            collections[info["generation"]] += 1
+
+    def broken_transform(specs):
+        # Derive, diff and rank are behind us; the unwinding allocates
+        # tracebacks in the callers' frames, which is not the plan.
+        inside[0] = False
+        raise RuntimeError(f"cannot transform {len(specs)} specs")
+
+    gc.callbacks.append(count)
+    try:
+        (gc.disable if case == "disabled" else gc.enable)()
+        gc.collect()  # the allocation counts start from zero
+        before = _collector_state()
+        # Nothing is allocated between the flag and the call, or between
+        # the return and the flag: a collection counted is one inside.
+        if case == "transform raises":
+            with pytest.raises(RuntimeError, match="cannot transform"):
+                inside[0] = True
+                start_repartitioning(system, broken_transform)
+        else:
+            inside[0] = True
+            session = start_repartitioning(system)
+            inside[0] = False
+            assert session.ops_total > 0
+        after = _collector_state()
+    finally:
+        gc.callbacks.remove(count)
+
+    assert collections == [0, 0, 0]  # 94 + 8 + 0 before the pause
+    assert after == before

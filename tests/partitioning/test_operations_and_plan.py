@@ -1,5 +1,8 @@
 """Tests for repartition operations, plans, and plan diffing."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import PartitioningError
@@ -41,6 +44,33 @@ class TestOperations:
     def test_benefit_accumulator_defaults_zero(self):
         op = Migrate(op_id=0, key=1, source=0, destination=1)
         assert op.benefit == 0.0
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            Migrate(op_id=3, key=7, benefit=1.5, source=0, destination=2),
+            CreateReplica(op_id=4, key=8, benefit=2.5, source=1, destination=3),
+            DeleteReplica(op_id=5, key=9, benefit=3.5, partition=4),
+        ],
+        ids=lambda op: op.kind,
+    )
+    def test_slotted_and_still_picklable(self, op):
+        """A plan is ~94k of these at the paper's size: no ``__dict__``
+        each, and they still cross the process boundary of the parallel
+        engine and the result cache."""
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.note = "ad hoc"
+        # Protocols 0 and 1 pickle no slotted class without __getstate__;
+        # multiprocessing and everything else here use the default.
+        clones = [copy.copy(op), copy.deepcopy(op)] + [
+            pickle.loads(pickle.dumps(op, protocol))
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert type(clone) is type(op) and clone is not op
+            assert clone == op and clone.benefit == op.benefit  # not compared
+            assert clone.partitions_touched == op.partitions_touched
 
 
 class TestPartitionPlan:

@@ -1,8 +1,10 @@
 """Tests for the event primitives of the simulation kernel."""
 
+import weakref
+
 import pytest
 
-from repro.sim import AllOf, Environment, Event, Interrupt
+from repro.sim import AllOf, AnyOf, Environment, Event, Interrupt
 
 
 class TestEvent:
@@ -485,6 +487,95 @@ class TestConditions:
         condition = env.any_of([done, env.timeout(100)])
         assert condition.triggered
         assert list(condition.value.values()) == ["early"]
+
+    def test_child_succeeding_after_the_condition_is_a_no_op(self, env):
+        first, late = env.event(), env.event()
+        condition = env.any_of([first, late])
+        first.succeed("first")
+        env.run()
+        late.succeed("late")
+        env.run()
+        assert condition.ok and condition.value == {first: "first"}
+
+    def test_pending_child_after_a_triggered_one_stays_attached(self, env):
+        """The condition triggers while its children are still being
+        attached; the ones after that are attached all the same."""
+        done = env.event()
+        done.succeed("early")
+        pending = env.event()
+        condition = env.any_of([done, pending])
+        assert condition.triggered
+        pending.fail(RuntimeError("late"))
+        env.run()  # defused by the condition: does not escalate
+        assert pending.defused and condition.value == {done: "early"}
+
+    def test_all_of_counts_a_triggered_child_once(self, env):
+        done = env.event()
+        done.succeed("early")
+        pending = env.event()
+        condition = env.all_of([done, pending])
+        assert not condition.triggered
+        pending.succeed("late")
+        env.run()
+        assert condition.value == {done: "early", pending: "late"}
+
+
+class _WatchedAnyOf(AnyOf):
+    """Not slotted, so it can be weakly referenced."""
+
+
+class _WatchedAllOf(AllOf):
+    """Not slotted, so it can be weakly referenced."""
+
+
+class TestConditionLifetime:
+    """A triggered condition lets go of its children: with the collector
+    off, it and they are gone once the process that waited has finished —
+    the child that never fires does not keep them in a cycle."""
+
+    @pytest.mark.parametrize("watched", [_WatchedAnyOf, _WatchedAllOf])
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_reclaimed_by_refcount_once_the_waiter_finished(
+        self, env, collector_off, watched, fails
+    ):
+        conditions = []
+        doomed = []
+        outcome = []
+
+        def failer():
+            # Fails the child without raising here: an exception raised
+            # in a process drags this kernel frame along in its traceback.
+            yield env.timeout(1)
+            doomed.pop().fail(ValueError("child failed"))
+
+        def make():
+            # Nothing but the condition refers to the children, as with
+            # the work server's kill event and the lock-wait timeout.
+            if fails:
+                doomed.append(env.event())
+                env.process(failer())
+                children = [doomed[0], env.event()]
+            elif watched is _WatchedAllOf:
+                children = [env.timeout(1), env.timeout(2)]  # all must fire
+            else:
+                children = [env.timeout(1), env.event()]
+            condition = watched(env, children)
+            conditions.append(weakref.ref(condition))
+            return condition
+
+        def waiter():
+            # No local holds the condition: a failure's traceback keeps
+            # this frame, and the frame would keep the condition.
+            try:
+                yield make()
+                outcome.append("ok")
+            except ValueError:
+                outcome.append("failed")
+
+        env.process(waiter())
+        env.run()
+        assert outcome == ["failed" if fails else "ok"]
+        assert [ref() for ref in conditions] == [None]
 
 
 class TestSlots:

@@ -1,8 +1,10 @@
 """Tests for Resource and WorkServer."""
 
+import weakref
+
 import pytest
 
-from repro.sim import Resource, WorkServer
+from repro.sim import Resource, WorkServer, resources
 
 
 class TestResource:
@@ -44,6 +46,66 @@ class TestResource:
         request = resource.request()
         resource.cancel(request)
         assert resource.in_use == 0
+
+
+class TestRequestLifetime:
+    """A request holds no reference that leads back to itself, so it is
+    gone by reference count the moment its owner lets go of it."""
+
+    @pytest.fixture
+    def watch(self, monkeypatch):
+        """Weak references to every request made (the kernel's own class
+        is slotted and cannot be weakly referenced; a subclass can)."""
+
+        class Watched(resources.Request):
+            pass
+
+        made = []
+
+        def request(resource):
+            watched = Watched(resource)
+            made.append(weakref.ref(watched))
+            return watched
+
+        monkeypatch.setattr(resources, "Request", request)
+        return made
+
+    def test_released_and_withdrawn_requests_die_by_refcount(
+        self, env, watch, collector_off
+    ):
+        resource = Resource(env, capacity=1)
+        held = resource.request()
+        queued = resource.request()
+        withdrawn = resource.request()
+        assert held.triggered and held.granted
+        assert (resource.in_use, resource.queue_length) == (1, 2)
+
+        resource.cancel(withdrawn)  # while still queued
+        assert (resource.in_use, resource.queue_length) == (1, 1)
+        resource.release(held)  # grants the next in line
+        assert queued.triggered and queued.granted and not withdrawn.triggered
+        resource.release(queued)
+        assert (resource.in_use, resource.queue_length) == (0, 0)
+
+        del held, queued, withdrawn
+        assert [ref() for ref in watch] == [None, None, None]
+
+    def test_requests_a_process_waited_on_die_with_it(
+        self, env, watch, collector_off
+    ):
+        server = WorkServer(env, rate=1.0)
+        order = []
+
+        def job(name):
+            yield from server.work(1)
+            order.append((env.now, name))
+
+        for name in "abc":
+            env.process(job(name))
+        env.run()
+        assert order == [(1.0, "a"), (2.0, "b"), (3.0, "c")]
+        assert len(watch) == 3
+        assert [ref() for ref in watch] == [None, None, None]
 
 
 class TestWorkServer:

@@ -18,6 +18,21 @@ class TestIds:
         txn = stack.tm.create_normal([stack.read(0)])
         assert txn.created_at == stack.env.now
 
+    def test_repartition_ops_are_adopted_and_never_mutated_in_place(
+        self, stack
+    ):
+        """``create_repartition`` keeps the caller's list (one per spec of
+        a plan); that is sound because piggybacking copies it onto the
+        carrier and stripping rebinds the carrier's."""
+        ops = [Migrate(op_id=0, key=0, source=0, destination=1)]
+        rep = stack.tm.create_repartition(ops)
+        assert rep.rep_ops is ops
+        carrier = stack.tm.create_normal([stack.read(0)])
+        carrier.attach_rep_ops(rep.txn_id, rep.rep_ops)
+        assert carrier.rep_ops == ops and carrier.rep_ops is not ops
+        assert carrier.strip_rep_ops() == ops
+        assert carrier.rep_ops == [] and rep.rep_ops is ops and len(ops) == 1
+
 
 class TestDispatch:
     def test_higher_priority_runs_first(self):
