@@ -34,6 +34,7 @@ EPOCH_MODULE = ("src/repro/routing/epoch.py",)
 MAP_MUTATORS = frozenset(
     {
         "assign",
+        "assign_many",
         "assign_unmapped",
         "add_replica",
         "remove_replica",

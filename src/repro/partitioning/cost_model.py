@@ -86,7 +86,7 @@ class CostModel:
         self, keys: Sequence[TupleKey], current: MapView
     ) -> frozenset[PartitionId]:
         """Partitions the keys occupy under the current map."""
-        return frozenset(current.primary_of(key) for key in keys)
+        return frozenset(current.primaries_of(keys))
 
     def partitions_under_plan(
         self,

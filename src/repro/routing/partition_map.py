@@ -21,6 +21,7 @@ same for both representations.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..errors import RoutingError
@@ -83,17 +84,24 @@ class PartitionMap:
                 yield key
 
     def items(self) -> Iterator[tuple[TupleKey, tuple[PartitionId, ...]]]:
-        """``(key, replicas_of(key))`` per mapped key in :meth:`keys`
-        order — the whole-map scan, one read of the dense column."""
+        """``(key, replicas_of(key))`` per mapped key in :meth:`keys` order."""
+        for key in self.keys():
+            yield key, self.replicas_of(key)
+
+    def placements(self) -> Iterator[tuple[TupleKey, PartitionId]]:
+        """``(key, partition)`` per replica, :meth:`items` flattened — the
+        whole-map scan: one read of the dense column, no tuple per key."""
         replicas = self._replicas
         for key, cell in enumerate(self._primary):
             if cell >= 0:
-                yield key, (cell,)
+                yield key, cell
             elif cell == _SPILLED:
-                yield key, tuple(replicas[key])
+                for partition_id in replicas[key]:
+                    yield key, partition_id
         for key, spilled in replicas.items():
             if not self._is_dense(key):
-                yield key, tuple(spilled)
+                for partition_id in spilled:
+                    yield key, partition_id
 
     # ------------------------------------------------------------------
     # Lookup
@@ -174,28 +182,49 @@ class PartitionMap:
 
     def assign(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Initial placement of ``key`` with a single replica."""
-        self._check_partition(partition_id)
-        # Spelled out rather than ``in`` + ``_put``: initial placement
-        # calls this once per profiled key.
-        dense = self._is_dense(key)
-        if (
-            self._primary[key] != _UNMAPPED if dense else key in self._replicas
-        ):
-            raise RoutingError(f"tuple {key} is already mapped")
-        if dense:
-            self._primary[key] = partition_id
-        else:
-            self._replicas[key] = [partition_id]
-        self._count += 1
-        self._size_delta(partition_id, +1)
-        self.version += 1
+        self.assign_many((key,), (partition_id,))
+
+    def assign_many(
+        self, keys: Sequence[TupleKey], partition_ids: Sequence[PartitionId]
+    ) -> None:
+        """Initial placement of ``keys[i]`` on ``partition_ids[i]`` for
+        every ``i``, in one call.  Every refusal — the lengths, a
+        partition id, a key repeated or already mapped — is raised
+        before the first cell is written."""
+        if len(keys) != len(partition_ids) or len(set(keys)) != len(keys):
+            raise RoutingError(
+                f"cannot pair {len(keys)} keys ({len(set(keys))} distinct) "
+                f"with {len(partition_ids)} partition ids"
+            )
+        sizes = Counter(partition_ids)
+        for partition_id in sizes:
+            self._check_partition(partition_id)
+        primary, capacity, spilled = self._primary, self.capacity, self._replicas
+        in_column = [
+            isinstance(key, int) and 0 <= key < capacity for key in keys
+        ]
+        for key, dense in zip(keys, in_column):
+            if primary[key] != _UNMAPPED if dense else key in spilled:
+                raise RoutingError(f"tuple {key} is already mapped")
+        for key, partition_id, dense in zip(keys, partition_ids, in_column):
+            if dense:
+                primary[key] = partition_id
+            else:
+                spilled[key] = [partition_id]
+        for partition_id, n in sizes.items():
+            self._size_delta(partition_id, n)
+        self._count += len(keys)
+        self.version += len(keys)  # as one ``assign`` per key would
 
     def assign_unmapped(
         self, key_count: int, partitions: Sequence[PartitionId]
     ) -> None:
         """:meth:`assign` every unmapped key ``k`` of ``range(key_count)``
-        to ``partitions[k % len(partitions)]`` — cold-data placement in
-        one pass over the dense column instead of one call per tuple.
+        to ``partitions[k % len(partitions)]`` — cold-data placement by
+        halving the dense column until a span counts as all unmapped (it
+        is filled as one slice of the round-robin column) or all mapped:
+        a few slice counts per run, so cheap for the one cold run a
+        generated key space has and dearer than a loop for scattered holes.
 
         Every partition id is checked before the first cell is written.
         """
@@ -206,21 +235,33 @@ class PartitionMap:
         p = len(partitions)
         primary = self._primary
         dense = min(key_count, self.capacity)
-        #: Keys placed per position in ``partitions``.
+        #: Cell ``k`` is what key ``k`` gets if it is unmapped.
+        round_robin = array("i", partitions) * (dense // p + 1)
+        #: Keys placed per position in ``partitions``, beside the
+        #: ``everywhere`` each position got from whole turns of a run.
         placed = [0] * p
-        for key in range(dense):
-            if primary[key] == _UNMAPPED:
-                slot = key % p
-                primary[key] = partitions[slot]
-                placed[slot] += 1
+        everywhere = filled = 0
+        spans = [(0, dense)]
+        while spans:
+            lo, hi = spans.pop()
+            unmapped = primary[lo:hi].count(_UNMAPPED)
+            if 0 < unmapped < hi - lo:  # mixed: look at each half
+                spans += [((lo + hi) // 2, hi), (lo, (lo + hi) // 2)]
+            elif unmapped:  # one run: a slice of the round-robin column
+                primary[lo:hi] = round_robin[lo:hi]
+                turns, rest = divmod(unmapped, p)
+                everywhere += turns
+                for key in range(lo, lo + rest):
+                    placed[key % p] += 1
+                filled += unmapped
         for partition_id, n in zip(partitions, placed):
-            self._size_delta(partition_id, n)
-        filled = sum(placed)
+            self._size_delta(partition_id, n + everywhere)
         self._count += filled
         self.version += filled  # as one ``assign`` per key would
-        for key in range(dense, key_count):
-            if key not in self._replicas:
-                self.assign(key, partitions[key % p])
+        cold = [
+            key for key in range(dense, key_count) if key not in self._replicas
+        ]
+        self.assign_many(cold, [partitions[key % p] for key in cold])
 
     def add_replica(self, key: TupleKey, partition_id: PartitionId) -> None:
         """Record a new replica of ``key`` on ``partition_id``."""

@@ -20,7 +20,7 @@ from ..cluster.cluster import Cluster
 from ..errors import ConfigError, StorageError
 from ..routing.partition_map import PartitionMap
 from ..storage.partition_store import PartitionStore
-from ..types import PartitionId
+from ..types import PartitionId, TupleKey
 from .profile import TransactionType, WorkloadProfile
 
 
@@ -98,14 +98,19 @@ def initial_placement(
     elif len(pmap):
         raise ConfigError("initial placement requires an empty partition map")
     p = len(partitions)
+    keys: list[TupleKey] = []
+    homes: list[PartitionId] = []
     for ttype in profile:
+        first = ttype.type_id % p
         if ttype.type_id in distributed_type_ids and p > 1:
-            for offset, key in enumerate(ttype.keys):
-                pmap.assign(key, partitions[(ttype.type_id + offset) % p])
+            homes += [
+                partitions[(first + offset) % p]
+                for offset in range(len(ttype.keys))
+            ]
         else:
-            home = partitions[ttype.type_id % p]
-            for key in ttype.keys:
-                pmap.assign(key, home)
+            homes += [partitions[first]] * len(ttype.keys)
+        keys += ttype.keys
+    pmap.assign_many(keys, homes)
     return pmap
 
 
@@ -133,25 +138,36 @@ def load_placement(
     order; each store then takes its records in one
     :meth:`~repro.storage.partition_store.PartitionStore.load`.
     Returns the number of records loaded.
+
+    The draw is ``rng.randrange(1_000_000)`` — same values, same state
+    left in ``rng`` — spelled out as the algorithm CPython runs for it
+    (``Random._randbelow_with_getrandbits``: 20-bit draws, one at or
+    past the bound rejected and redrawn), because ``randrange`` reaches
+    ``getrandbits`` through three Python calls and that ladder, once per
+    tuple, cost more than the rest of the build.  ``tests/partitioning/
+    test_bulk_equivalence.py`` pins the two equal, so a Python that
+    changes the algorithm fails there.
     """
     # Per partition, the keys and payloads bound for it as machine-int
     # columns (16 bytes a tuple; boxed ints would be several times that
     # for the length of a million-tuple build).
     batches: dict[PartitionId, tuple[array[int], array[int]]] = {}
-    randrange = rng.randrange
-    for key, replicas in pmap.items():
-        for pid in replicas:
-            batch = batches.get(pid)
-            if batch is None:
-                batch = batches[pid] = (array("q"), array("q"))
-            try:
-                batch[0].append(key)
-            except (OverflowError, TypeError):
-                raise StorageError(
-                    f"tuple {key!r} does not fit a store's signed 64-bit "
-                    "key column"
-                ) from None
-            batch[1].append(randrange(1_000_000))
+    getrandbits = rng.getrandbits
+    for key, pid in pmap.placements():
+        batch = batches.get(pid)
+        if batch is None:
+            batch = batches[pid] = (array("q"), array("q"))
+        try:
+            batch[0].append(key)
+        except (OverflowError, TypeError):
+            raise StorageError(
+                f"tuple {key!r} does not fit a store's signed 64-bit "
+                "key column"
+            ) from None
+        value = getrandbits(20)
+        while value >= 1_000_000:
+            value = getrandbits(20)
+        batch[1].append(value)
     loaded = 0
     while batches:  # each batch is dropped as its store takes a copy
         pid, (keys, values) = batches.popitem()
@@ -180,8 +196,7 @@ def load_stores(
 
 def verify_placement(cluster: Cluster, pmap: PartitionMap) -> bool:
     """Check stores and map agree (used by tests and failure injection)."""
-    for key, replicas in pmap.items():
-        for pid in replicas:
-            if key not in cluster.node_for_partition(pid).store:
-                return False
-    return True
+    return all(
+        key in cluster.node_for_partition(pid).store
+        for key, pid in pmap.placements()
+    )

@@ -362,6 +362,21 @@ class TestWarmPool:
         for a, b in zip(first, second):
             _assert_identical(a, b)
 
+    def test_spawned_workers_import_through_the_facades(self, monkeypatch):
+        """A ``spawn`` worker inherits no module: it unpickles its task by
+        importing ``repro.experiments.parallel`` through the lazy packages."""
+        monkeypatch.setattr(
+            "repro.experiments.parallel._start_method", lambda: "spawn"
+        )
+        shutdown_pool()
+        configs = _tiny_matrix()[:2]
+        try:
+            spawned = run_cells(configs, jobs=2)
+        finally:
+            shutdown_pool()
+        for a, b in zip(spawned, run_cells(configs, jobs=1)):
+            _assert_identical(a, b)
+
 
 class TestIntegration:
     def test_figure_cells_parallel_matches_serial(self):

@@ -22,8 +22,9 @@ import pytest
 
 from repro.experiments import build_system, medium_scale, start_repartitioning
 
-#: Profiled calls per tuple to build the system (16.4 when set).
-BUILD_CALLS_PER_TUPLE = 20
+#: Profiled calls per tuple to build the system (8.3 when set; 16.4 with
+#: one ``randrange`` ladder and one ``assign`` per tuple).
+BUILD_CALLS_PER_TUPLE = 12
 #: Profiled calls per profiled key to derive, rank and submit the plan
 #: (26.8 when set).
 PLAN_CALLS_PER_KEY = 45

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster, ClusterConfig
 from repro.core import generate_and_rank
-from repro.errors import PartitioningError
+from repro.errors import PartitioningError, RoutingError
 from repro.partitioning import (
     CostModel,
     PartitionPlan,
@@ -230,3 +230,134 @@ class TestBuildEquivalence:
         )
         assert store_state(cluster) == store_state(expected_cluster)
         assert rng.getstate() == expected_rng.getstate()
+
+
+def map_state(pmap: PartitionMap):
+    return (
+        list(pmap.items()), len(pmap), pmap.version, pmap.partition_sizes()
+    )
+
+
+#: Large enough that a span is halved many times before it counts as all
+#: mapped or all unmapped, and that no run's length divides evenly.
+COLUMN = 1_000
+
+
+def column_map(shape: str) -> PartitionMap:
+    """A ``COLUMN``-cell dense map: a mapped prefix (what initial
+    placement leaves), scattered holes with spilled cells among the
+    mapped ones, nothing unmapped, or nothing mapped."""
+    pmap = PartitionMap(COLUMN)
+    if shape == "prefix":
+        mapped = range(313)
+    elif shape == "holes":
+        mapped = [k for k in range(COLUMN) if k % 3 == 0 or 400 <= k < 450]
+    else:
+        mapped = range(COLUMN) if shape == "all-mapped" else ()
+    pmap.assign_many(list(mapped), [9 + key % 2 for key in mapped])
+    for key in list(mapped)[::11]:
+        pmap.add_replica(key, 8)  # a spilled cell is mapped, not a gap
+    return pmap
+
+
+class NoLadder(random.Random):
+    """``randrange`` is what the loader's draws must equal, not what it
+    may call: one call per tuple was a third of the scale tier's build."""
+
+    def randrange(self, *args, **kwargs):
+        raise AssertionError("load_placement went through randrange")
+
+
+class TestBulkBuild:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 + 5])
+    @pytest.mark.parametrize("shape", ["dense", "spilled", "out-of-range"])
+    def test_load_draws_randrange_bit_for_bit_without_calling_it(
+        self, shape, seed
+    ):
+        """Pins CPython's ``Random._randbelow_with_getrandbits``: 20-bit
+        draws, one at or past 1,000,000 rejected and redrawn.  A Python
+        that draws ``randrange(1_000_000)`` any other way fails here."""
+        pmap = PartitionMap(0 if shape == "out-of-range" else 700)
+        pmap.assign_many(range(700), [key % 4 for key in range(700)])
+        if shape == "spilled":
+            for key in range(0, 700, 7):
+                pmap.add_replica(key, (key + 1) % 4)
+        config = PlacementConfig()
+        cluster, expected_cluster = (
+            Cluster(Environment(), ClusterConfig(node_count=len(PARTITIONS)))
+            for _ in range(2)
+        )
+        rng, expected_rng = NoLadder(seed), random.Random(seed)
+        loaded = load_stores(cluster, pmap, config, rng)
+        assert loaded == reference.load_stores(
+            expected_cluster, pmap, config, expected_rng
+        )
+        assert store_state(cluster) == store_state(expected_cluster)
+        assert rng.getstate() == expected_rng.getstate()
+        # ... and the rejection branch was taken: one 20-bit draw per
+        # record would have left the generator somewhere else.
+        one_each = random.Random(seed)
+        for _ in range(loaded):
+            one_each.getrandbits(20)
+        assert rng.getstate() != one_each.getstate()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        pmap=partition_maps(mapped=st.booleans()),
+        batch=st.lists(
+            st.tuples(
+                st.integers(0, KEYS + 3), st.sampled_from(PARTITIONS + [40])
+            ),
+            max_size=KEYS,
+            unique_by=lambda pair: pair[0],
+        ),
+    )
+    def test_assign_many_is_a_loop_of_assign(self, pmap, batch):
+        batch = [(key, pid) for key, pid in batch if key not in pmap]
+        expected = pmap.copy()
+        for key, pid in batch:
+            expected.assign(key, pid)
+        pmap.assign_many([key for key, _ in batch], [pid for _, pid in batch])
+        assert list(pmap.keys()) == list(expected.keys())
+        assert map_state(pmap) == map_state(expected)
+
+    @pytest.mark.parametrize(
+        "keys, partition_ids, message",
+        [
+            ([4, 1], [0, 0], "tuple 1 is already mapped"),  # a dense cell
+            ([4, 2], [0, 0], "tuple 2 is already mapped"),  # a spilled cell
+            ([4, 9], [0, 0], "tuple 9 is already mapped"),  # past capacity
+            ([4, 5, 4], [0, 1, 2], "2 distinct"),
+            ([10, 10], [0, 0], "1 distinct"),
+            ([4, 5], [0, -1], "partition id must be in"),
+            ([4, 10], [1 << 31, 0], "partition id must be in"),
+            ([4, 5], [0], "2 keys .* 1 partition ids"),
+            ([], [0], "0 keys .* 1 partition ids"),
+        ],
+    )
+    def test_a_refused_assign_many_leaves_the_map_untouched(
+        self, keys, partition_ids, message
+    ):
+        pmap = PartitionMap(capacity=8)
+        pmap.assign_many([1, 2, 9], [0, 1, 2])
+        pmap.add_replica(2, 3)
+        before = map_state(pmap)
+        with pytest.raises(RoutingError, match=message):
+            pmap.assign_many(keys, partition_ids)
+        assert map_state(pmap) == before
+
+    @pytest.mark.parametrize("partitions", [[4, 2, 7], [0, 1, 2, 3, 4, 5, 6]])
+    @pytest.mark.parametrize("key_count", [0, 1, 863, COLUMN, COLUMN + 50])
+    @pytest.mark.parametrize(
+        "shape", ["prefix", "holes", "all-mapped", "none-mapped"]
+    )
+    def test_assign_unmapped_agrees_with_reference_on_long_columns(
+        self, shape, key_count, partitions
+    ):
+        pmap = column_map(shape)
+        pmap.assign(COLUMN + 7, 9)  # one cold key is already placed
+        expected = pmap.copy()
+        pmap.assign_unmapped(key_count, partitions)
+        reference.place_unprofiled_keys(expected, key_count, partitions)
+        assert list(pmap.keys()) == list(expected.keys())
+        assert map_state(pmap) == map_state(expected)
