@@ -173,7 +173,9 @@ def parse_elasticity_schedule(text: str) -> ElasticityScheduleConfig:
         try:
             at_s = float(time_text)
             value = int(value_text)
-        except ValueError as exc:
+            # As in the key=value form, no integer past float range.
+            float(value)
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(
                 f"bad elasticity event {part!r}: {exc}"
             ) from None

@@ -130,7 +130,8 @@ def parse_fault_schedule(text: str) -> FaultScheduleConfig:
         try:
             at_s = float(time_text)
             node_id = int(node_text)
-        except ValueError as exc:
+            float(node_id)  # no node id past float range
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad fault event {part!r}: {exc}") from None
         events.append(FaultEvent(at_s=at_s, action=action, node_id=node_id))
     events.sort(key=lambda e: (e.at_s, e.node_id, e.action))

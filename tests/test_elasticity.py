@@ -72,6 +72,8 @@ class TestParsing:
         "high=5,low=1,check=2.9",  # integral key, fractional value
         "high=5,low=1,ops=inf",   # int(inf) is an OverflowError
         "high=5,low=1,max=nan",
+        # An integer past float range, refused in key=value form too.
+        pytest.param("0:add:" + "9" * 400, id="0:add:9*400"),
     ])
     def test_malformed_raises_config_error(self, text):
         with pytest.raises(ConfigError):

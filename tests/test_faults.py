@@ -66,6 +66,8 @@ class TestParsing:
         "mtbf=3,mttr=nan",
         "mtbf=3,mttr=1,start=nan",
         "mtbf=3,mttr=1,end=inf",
+        # An integer past float range, refused in key=value form too.
+        pytest.param("0:crash:" + "9" * 400, id="0:crash:9*400"),
     ])
     def test_malformed_raises_config_error(self, text):
         with pytest.raises(ConfigError):
