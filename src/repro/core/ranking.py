@@ -21,7 +21,7 @@ the new partition plan P, the algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import PartitioningError
@@ -32,7 +32,7 @@ from ..routing.epoch import MapView
 from ..workload.profile import WorkloadProfile
 
 
-@dataclass
+@dataclass(slots=True)
 class RepartitionTransactionSpec:
     """A ranked repartition transaction, before it becomes a Transaction.
 
@@ -45,10 +45,11 @@ class RepartitionTransactionSpec:
     type_id: int
     benefit: float
     cost: float
-    benefit_density: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.benefit_density = self.benefit / self.cost if self.cost > 0 else 0.0
+    @property
+    def benefit_density(self) -> float:
+        """``B_j / C_j``, the ranking key (0 for a transaction of no cost)."""
+        return self.benefit / self.cost if self.cost > 0 else 0.0
 
 
 def generate_and_rank(
@@ -59,39 +60,44 @@ def generate_and_rank(
     cost_model: CostModel,
 ) -> list[RepartitionTransactionSpec]:
     """Run Algorithm 1 and return specs in descending benefit density."""
-    ops_by_key: dict[int, list[RepartitionOperation]] = {}
+    # A key holds its one op itself, and a list only where it carries
+    # several (say, a replica created and another dropped).
+    ops_by_key: dict[int, RepartitionOperation | list[RepartitionOperation]] = {}
     for op in operations:
-        ops_by_key.setdefault(op.key, []).append(op)
         op.benefit = 0.0  # reset accumulators from any previous run
+        held = ops_by_key.setdefault(op.key, op)
+        if isinstance(held, list):
+            held.append(op)
+        elif held is not op:
+            ops_by_key[op.key] = [held, op]
     # Every operation ends up in exactly one transaction, told apart by
-    # id — which also means a type's group below never lists one twice.
-    remaining: set[int] = {op.op_id for op in operations}
-    if len(remaining) != len(operations):
-        raise PartitioningError("repartition operations must have distinct ids")
+    # its position in ``operations``.  Planners number ops consecutively
+    # (position = id - first id); other ids pay for an id -> position map.
+    base = operations[0].op_id if operations else 0
+    position: dict[int, int] | None = None
+    if any(op.op_id - base != i for i, op in enumerate(operations)):
+        position = {op.op_id: i for i, op in enumerate(operations)}
+        if len(position) != len(operations):
+            raise PartitioningError("repartition operations must have distinct ids")
 
     # Lines 1-5: build Top (type -> ops touching its keys), filtered to
-    # types that actually improve under the plan.  Only types touching a
-    # repartitioned key can join Top (a full-profile scan would skip the
-    # rest before any arithmetic), so candidates come from the profile's
-    # inverted index — restored to profile iteration order because the
-    # benefit spread below accumulates floats in that order.
-    key_index = profile.key_index()
-    candidate_ids: set[int] = set()
-    for key in ops_by_key:
-        for candidate in key_index.get(key, ()):
-            candidate_ids.add(candidate.type_id)
+    # types that actually improve under the plan.  One scan in profile
+    # order, the order the benefit spread below accumulates floats in.
     top: dict[int, list[RepartitionOperation]] = {}
-    for type_id in sorted(candidate_ids, key=profile.position):
-        ttype = profile.type(type_id)
-        group = [
-            op for key in ttype.keys for op in ops_by_key.get(key, ())
-        ]
+    for ttype in profile.types:
+        group: list[RepartitionOperation] = []
+        for key in ttype.keys:
+            held = ops_by_key.get(key)
+            if isinstance(held, list):
+                group.extend(held)
+            elif held is not None:
+                group.append(held)
         if not group:
             continue
         delta = cost_model.improvement(ttype, plan, current)
         if delta <= 0:
             continue
-        top[type_id] = group
+        top[ttype.type_id] = group
         # Lines 6-9: spread the type's gain evenly over its op group.
         per_op = ttype.frequency * delta / len(group)
         for op in group:
@@ -107,19 +113,20 @@ def generate_and_rank(
     )
 
     # Lines 16-26: carve groups into transactions; each op used once.
+    used = bytearray(len(operations))
     specs: list[RepartitionTransactionSpec] = []
     for type_id in ranked_types:
         group = []
         benefit = group_benefit[type_id]
         for op in top[type_id]:
-            if op.op_id in remaining:
-                group.append(op)
-            else:
+            i = op.op_id - base if position is None else position[op.op_id]
+            if used[i]:
                 benefit -= op.benefit
+            else:
+                used[i] = 1
+                group.append(op)
         if not group:
             continue
-        for op in group:
-            remaining.discard(op.op_id)
         cost = cost_model.rep_txn_cost(group)
         specs.append(
             RepartitionTransactionSpec(
@@ -130,7 +137,7 @@ def generate_and_rank(
     # Leftover operations benefit no profiled type directly (e.g. load
     # balancing moves); package them one transaction per key group so
     # they still get applied, ranked last.
-    leftovers = [op for op in operations if op.op_id in remaining]
+    leftovers = [op for op, taken in zip(operations, used) if not taken]
     if leftovers:
         specs.append(
             RepartitionTransactionSpec(

@@ -321,6 +321,7 @@ def start_repartitioning(
             system.profile, system.router.store.current_epoch, types_to_fix
         )
         specs = system.repartitioner.rank_plan(plan, system.profile)
+        del plan  # the specs hold all it made; free it before the submit
         if spec_transform is not None:
             specs = spec_transform(specs)
         system.repartitioner.submit(specs)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..errors import ConfigError
 from ..routing.epoch import MapView
-from ..types import PartitionId
+from ..types import PartitionId, TupleKey
 from .cost_model import CostModel
 from .plan import PartitionPlan
 
@@ -96,12 +96,19 @@ class RepartitionOptimizer:
         # Seed loads with what is already resident.  This pass is the
         # one placement resolve per key: every later step reads a type's
         # per-partition key counts, which live until the plan is returned.
-        index = profile.key_index()
+        # It also indexes the keys two or more types share (generated
+        # workloads share none), the only keys that constrain below.
         counts_of: dict[int, dict[PartitionId, int]] = {}
+        first: dict[TupleKey, TransactionType] = {}
+        shared: dict[TupleKey, list[TransactionType]] = {}
         for ttype in profile.types:
             counts = counts_of[ttype.type_id] = _key_counts(ttype, current)
             home = _majority(counts)
             load[home] = load.get(home, 0.0) + ttype.frequency
+            for key in ttype.keys:
+                other = first.setdefault(key, ttype)
+                if other is not ttype:
+                    shared.setdefault(key, [other]).append(ttype)
 
         candidates = list(types_to_fix) if types_to_fix is not None else list(
             profile.types
@@ -126,7 +133,7 @@ class RepartitionOptimizer:
             # Types sharing keys with this one are constrained; skip them
             # by claiming their keys is sufficient (handled above).
             for key in ttype.keys:
-                for other in index.get(key, ()):  # pragma: no branch
+                for other in shared.get(key, ()):
                     if other.type_id != ttype.type_id:
                         claimed.update(other.keys)
         return plan

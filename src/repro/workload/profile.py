@@ -54,11 +54,10 @@ class WorkloadProfile:
         self._by_id: dict[int, TransactionType] = {
             t.type_id: t for t in self.types
         }
-        # Lazily-built derived views.  The profile is immutable after
-        # construction (``_by_id`` is already built once here), so both
-        # caches stay valid for the object's lifetime.
+        # Lazily-built derived view.  The profile is immutable after
+        # construction (``_by_id`` is already built once here), so the
+        # cache stays valid for the object's lifetime.
         self._key_index: Optional[dict[TupleKey, list[TransactionType]]] = None
-        self._positions: Optional[dict[int, int]] = None
 
     def __len__(self) -> int:
         return len(self.types)
@@ -114,24 +113,6 @@ class WorkloadProfile:
     def key_heat(self, key: TupleKey) -> float:
         """Summed frequency of the types touching ``key`` (0 if none)."""
         return sum(t.frequency for t in self.key_index().get(key, ()))
-
-    def position(self, type_id: int) -> int:
-        """A type's position in profile iteration order.
-
-        Lets callers that discover candidate types out of order (e.g.
-        through :meth:`key_index`) restore profile order — required
-        wherever float accumulation must match a full profile scan
-        bit for bit.
-        """
-        positions = self._positions
-        if positions is None:
-            positions = self._positions = {
-                t.type_id: i for i, t in enumerate(self.types)
-            }
-        try:
-            return positions[type_id]
-        except KeyError:
-            raise ConfigError(f"unknown transaction type {type_id}") from None
 
     def hottest(self, n: Optional[int] = None) -> list[TransactionType]:
         """Types sorted by descending frequency (ties by id for determinism)."""

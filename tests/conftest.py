@@ -9,8 +9,25 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from repro.sim import Environment  # noqa: E402
+
+from .hypothesis_budget import BASE_EXAMPLES, EXPLORE_FACTOR  # noqa: E402
+
+settings.register_profile(
+    "tier1", max_examples=BASE_EXAMPLES, derandomize=True, database=None
+)
+settings.register_profile(
+    "explore",
+    max_examples=BASE_EXAMPLES * EXPLORE_FACTOR,
+    derandomize=False,
+    database=None,
+    deadline=None,
+    print_blob=True,
+)
+# The default; ``--hypothesis-profile`` is applied after this module runs.
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.session import RepState
 from repro.types import Priority
 
+from ..hypothesis_budget import examples
 from .conftest import build_harness
 
 
@@ -201,7 +202,7 @@ SESSION_OPS = st.lists(
 class TestIncrementalBookkeeping:
     """The O(1) counter and id index against from-scratch recounts."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(SESSION_OPS)
     def test_counter_and_completion_track_a_recount(self, ops):
         harness = build_harness()

@@ -12,14 +12,20 @@ The same goes for the cyclic collector: a plan is a quarter of a million
 live objects at the paper's size and every pass over it while it is being
 built is futile, so the number of collections between entry to and return
 from ``start_repartitioning`` is gated too — at zero.
+
+And for the plan's memory: its traced peak per planned op is a ratio of
+two counts of the same run, so it is gated as well, together with the
+two structures whose return would break it.
 """
 
 import cProfile
 import gc
 import pstats
+import tracemalloc
 
 import pytest
 
+from repro.core import RepartitionTransactionSpec
 from repro.experiments import build_system, medium_scale, start_repartitioning
 
 #: Profiled calls per tuple to build the system (8.3 when set; 16.4 with
@@ -28,6 +34,10 @@ BUILD_CALLS_PER_TUPLE = 12
 #: Profiled calls per profiled key to derive, rank and submit the plan
 #: (26.8 when set).
 PLAN_CALLS_PER_KEY = 45
+#: Traced peak bytes per planned op of ``start_repartitioning`` (365
+#: when set; 678 with the profile's key -> types index and a list per
+#: planned key).
+PLAN_PEAK_BYTES_PER_OP = 450
 
 
 def _calls(fn, *args):
@@ -99,3 +109,26 @@ def test_no_collection_runs_while_the_plan_is_built(case, collector_restored):
 
     assert collections == [0, 0, 0]  # 94 + 8 + 0 before the pause
     assert after == before
+
+
+def test_plan_allocates_only_what_it_keeps():
+    config = medium_scale("Hybrid", "zipf", "low", alpha=1.0, seed=0)
+    system = build_system(config)
+    tracemalloc.start()
+    try:
+        session = start_repartitioning(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    ops = session.ops_total
+    assert ops == 12_800
+    assert peak <= PLAN_PEAK_BYTES_PER_OP * ops, (
+        f"start_repartitioning peaked at {peak / ops:.0f} traced bytes "
+        "per planned op"
+    )
+    # Neither derive nor rank builds the profile-wide key index ...
+    assert system.profile._key_index is None
+    # ... and a spec, one per planned transaction, carries no dict.
+    spec = RepartitionTransactionSpec(ops=[], type_id=0, benefit=1.0, cost=1.0)
+    assert not hasattr(spec, "__dict__")

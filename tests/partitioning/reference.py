@@ -12,7 +12,8 @@ one tuple at a time.  They are slow — which is why they no longer ship
 
 The benchmark digests cannot pin the branches no benchmark cell takes
 (types sharing keys, spilled or out-of-range map cells, partitions
-outside the placement set, a stale epoch);
+outside the placement set, a stale epoch, several ops of any kind on
+one key, op ids that neither start at 0 nor run contiguously);
 ``tests/partitioning/test_bulk_equivalence.py`` does, against these.
 One behaviour is pinned as it stands rather than as documented:
 ``derive_plan`` re-assigns the already-claimed keys of a partly-claimed
@@ -183,8 +184,9 @@ def generate_and_rank(
             candidate_ids.add(candidate.type_id)
     top: dict[int, list[RepartitionOperation]] = {}
     improvements: dict[int, float] = {}
-    for type_id in sorted(candidate_ids, key=profile.position):
-        ttype = profile.type(type_id)
+    for ttype in profile.types:
+        if ttype.type_id not in candidate_ids:
+            continue
         group: list[RepartitionOperation] = []
         seen: set[int] = set()
         for key in ttype.keys:

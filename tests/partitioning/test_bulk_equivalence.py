@@ -5,14 +5,17 @@ map whose types share no key and plan against the current epoch, so
 their digests pin only that corner.  These properties pin the rest —
 types sharing keys, dict-mode maps, spilled (multi-replica) cells, keys
 beyond ``capacity``, keys resident on partitions outside the placement
-set, ``types_to_fix`` a strict subset, a ``MapEpoch`` one publish stale
-— by requiring the shipped code and ``reference.py`` to agree exactly:
-ordered plan items, the op list, every spec field with ``==`` on floats.
+set, ``types_to_fix`` a strict subset, a ``MapEpoch`` one publish stale,
+several ops on one key, op ids that neither start at 0 nor run
+contiguously — by requiring the shipped code and ``reference.py`` to
+agree exactly: ordered plan items, the op list, every spec field with
+``==`` on floats.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,9 @@ from repro.core import generate_and_rank
 from repro.errors import PartitioningError, RoutingError
 from repro.partitioning import (
     CostModel,
+    CreateReplica,
+    DeleteReplica,
+    Migrate,
     PartitionPlan,
     RepartitionOptimizer,
     diff_plan,
@@ -37,6 +43,7 @@ from repro.workload import (
     place_unprofiled_keys,
 )
 
+from ..hypothesis_budget import examples
 from . import reference
 
 KEYS = 16
@@ -110,10 +117,7 @@ def view_of(pmap: PartitionMap, kind: str, moves):
 
 
 def op_fields(ops):
-    return [
-        (type(op), op.op_id, op.key, op.source, op.destination, op.benefit)
-        for op in ops
-    ]
+    return [(type(op), astuple(op)) for op in ops]
 
 
 def spec_fields(specs):
@@ -123,8 +127,50 @@ def spec_fields(specs):
     ]
 
 
+#: (kind, key, partition, offset to the other partition).  Keys collide
+#: with each other and with the diff's, so a key carries two or more ops
+#: (a ``Migrate`` beside a ``DeleteReplica``, two ``CreateReplica``s);
+#: keys past ``KEYS`` belong to no type.
+op_draws = st.lists(
+    st.tuples(
+        st.sampled_from(["migrate", "create", "delete"]),
+        st.integers(0, KEYS + 3),
+        st.sampled_from(PARTITIONS),
+        st.integers(1, len(PARTITIONS) - 1),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def op_ids(draw, first, n):
+    """``n`` distinct ids from ``first`` on: consecutive, or anywhere
+    above it in any order."""
+    if draw(st.booleans()):
+        return list(range(first, first + n))
+    return draw(
+        st.lists(
+            st.integers(first, 10**6), min_size=n, max_size=n, unique=True
+        )
+    )
+
+
+def make_ops(ids, draws):
+    ops = []
+    for op_id, (kind, key, partition, offset) in zip(ids, draws):
+        other = (partition + offset) % len(PARTITIONS)
+        if kind == "delete":
+            ops.append(DeleteReplica(op_id=op_id, key=key, partition=partition))
+        else:
+            cls = Migrate if kind == "migrate" else CreateReplica
+            ops.append(
+                cls(op_id=op_id, key=key, source=other, destination=partition)
+            )
+    return ops
+
+
 class TestPlanEquivalence:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=examples(300), deadline=None)
     @given(
         pmap=partition_maps(),
         profile=profiles(),
@@ -140,9 +186,12 @@ class TestPlanEquivalence:
         extra_plan=st.dictionaries(
             st.integers(0, KEYS - 1), st.sampled_from(PARTITIONS), max_size=6
         ),
+        extra_ops=op_draws,
+        data=st.data(),
     )
     def test_derive_diff_rank_agree_with_reference(
-        self, pmap, profile, view_kind, moves, placement, fix, extra_plan
+        self, pmap, profile, view_kind, moves, placement, fix, extra_plan,
+        extra_ops, data,
     ):
         view = view_of(pmap, view_kind, moves)
         types_to_fix = None if fix is None else [
@@ -168,6 +217,13 @@ class TestPlanEquivalence:
         ops = diff_plan(view, plan, start_op_id=3)
         expected_ops = reference.diff_plan(view, expected_plan, start_op_id=3)
         assert op_fields(ops) == op_fields(expected_ops)
+
+        # ... and what no diff emits: more ops on a key, of every kind,
+        # numbered on from the diff's ids or from anywhere above them.
+        gap = data.draw(st.integers(0, 2))
+        ids = data.draw(op_ids(3 + len(ops) + gap, len(extra_ops)))
+        ops += make_ops(ids, extra_ops)
+        expected_ops += make_ops(ids, extra_ops)
 
         specs = generate_and_rank(ops, plan, view, profile, model)
         expected_specs = reference.generate_and_rank(
@@ -195,7 +251,7 @@ def store_state(cluster: Cluster):
 
 
 class TestBuildEquivalence:
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         pmap=partition_maps(mapped=st.booleans()),
         tuple_count=st.integers(0, KEYS + 4),
@@ -301,7 +357,7 @@ class TestBulkBuild:
             one_each.getrandbits(20)
         assert rng.getstate() != one_each.getstate()
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=examples(150), deadline=None)
     @given(
         pmap=partition_maps(mapped=st.booleans()),
         batch=st.lists(

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.routing import PartitionMap, PartitionMapStore
 
+from ..hypothesis_budget import examples
+
 PARTITIONS = [0, 1, 2, 3]
 KEYS = list(range(10))
 
@@ -58,7 +60,7 @@ def snapshot(view) -> dict:
 
 
 class TestDeltaLogReplay:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(stage_scripts)
     def test_replay_from_epoch_zero_reconstructs_published_map(self, script):
         """Applying every logged delta to the initial map, in log order,
@@ -76,7 +78,7 @@ class TestDeltaLogReplay:
                     replayed[delta.key] = delta.after
         assert replayed == snapshot(store)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(stage_scripts)
     def test_transition_epoch_ids_are_contiguous(self, script):
         store = fresh_store()
@@ -84,7 +86,7 @@ class TestDeltaLogReplay:
         ids = [t.epoch_id for t in store.delta_log()]
         assert ids == list(range(1, store.epoch_id + 1))
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(stage_scripts)
     def test_pinned_epoch_zero_always_reads_initial_map(self, script):
         store = fresh_store()
@@ -95,7 +97,7 @@ class TestDeltaLogReplay:
 
 
 class TestReplicaIntegrity:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(stage_scripts)
     def test_no_duplicate_replicas_ever_published(self, script):
         """Across any interleaving of staged deltas, neither the live map
@@ -113,7 +115,7 @@ class TestReplicaIntegrity:
                     if value is not None:
                         assert len(set(value)) == len(value)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(stage_scripts)
     def test_no_moving_marks_survive_closed_stages(self, script):
         store = fresh_store()

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from repro.locking import DeadlockDetector, LockManager, LockMode
 from repro.sim import Environment
 
+from ..hypothesis_budget import examples
+
 # A bounded universe keeps collisions frequent.
 TXNS = st.integers(min_value=1, max_value=6)
 KEYS = st.integers(min_value=0, max_value=4)
@@ -46,7 +48,7 @@ def holders_by_key(manager):
 
 
 class TestLockInvariants:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ACTIONS)
     def test_at_most_one_exclusive_holder(self, actions):
         manager = apply_actions(actions)
@@ -56,7 +58,7 @@ class TestLockInvariants:
             ]
             assert len(exclusive) <= 1
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ACTIONS)
     def test_exclusive_excludes_shared(self, actions):
         manager = apply_actions(actions)
@@ -65,7 +67,7 @@ class TestLockInvariants:
             if LockMode.EXCLUSIVE in modes:
                 assert len(holders) == 1
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ACTIONS)
     def test_release_all_leaves_no_trace(self, actions):
         manager = apply_actions(actions)
@@ -75,7 +77,7 @@ class TestLockInvariants:
             assert manager.holders_of(key) == {}
             assert manager.queue_length(key) == 0
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(ACTIONS)
     def test_no_granted_event_left_pending(self, actions):
         """Whoever holds a lock must have had *a* grant event succeed.
@@ -107,7 +109,7 @@ class TestLockInvariants:
                         f"txn {txn} holds {key} but no grant event succeeded"
                     )
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(ACTIONS)
     def test_detector_graph_never_keeps_finished_waiters(self, actions):
         env = Environment()

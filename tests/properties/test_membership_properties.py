@@ -21,6 +21,8 @@ from repro.experiments import (
 from repro.faults import parse_fault_schedule
 from repro.workload import WorkloadConfig
 
+from ..hypothesis_budget import examples
+
 TUPLES = 120
 
 #: Extra 20 s intervals granted past the nominal horizon for the pump
@@ -135,7 +137,7 @@ def _quiescent(system):
 
 
 class TestNoTupleStranded:
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     @given(adds, drains, crashes)
     # A drain transaction holding one Migrate into a node that retired
     # while it waited: used to abort with ``stale_route`` every retry,

@@ -8,6 +8,8 @@ from repro.partitioning import CostModel, RepartitionOptimizer, diff_plan
 from repro.routing import PartitionMap
 from repro.workload import TransactionType, WorkloadProfile
 
+from ..hypothesis_budget import examples
+
 PARTITIONS = [0, 1, 2]
 
 
@@ -35,7 +37,7 @@ def map_mutations(draw):
 
 
 class TestPartitionMapInvariants:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(partition_maps(), map_mutations())
     def test_every_key_always_has_a_replica(self, pmap, mutations):
         for action, key, p1, p2 in mutations:
@@ -53,7 +55,7 @@ class TestPartitionMapInvariants:
             assert len(replicas) >= 1
             assert len(set(replicas)) == len(replicas)  # distinct partitions
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(partition_maps())
     def test_copy_equivalence(self, pmap):
         clone = pmap.copy()
@@ -75,7 +77,7 @@ def profiles(draw):
 
 
 class TestPlanningInvariants:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(profiles(), st.randoms(use_true_random=False))
     def test_derived_plan_collocates_every_type(self, profile, rng):
         pmap = PartitionMap()
@@ -90,7 +92,7 @@ class TestPlanningInvariants:
             }
             assert len(homes) == 1
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(profiles(), st.randoms(use_true_random=False))
     def test_diff_never_moves_unplanned_keys(self, profile, rng):
         pmap = PartitionMap()
@@ -105,7 +107,7 @@ class TestPlanningInvariants:
             assert pmap.primary_of(op.key) == op.source
             assert plan.target_of(op.key) == op.destination
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(profiles())
     def test_plan_cost_never_worse_than_original(self, profile):
         """The collocation plan can only reduce expected cost."""

@@ -8,6 +8,8 @@ from repro.partitioning import CostModel, PartitionPlan, diff_plan
 from repro.routing import PartitionMap
 from repro.workload import TransactionType, WorkloadProfile
 
+from ..hypothesis_budget import examples
+
 PARTITIONS = [0, 1, 2]
 
 
@@ -47,7 +49,7 @@ def ranking_inputs(draw):
 
 
 class TestAlgorithm1Invariants:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ranking_inputs())
     def test_every_op_in_exactly_one_transaction(self, inputs):
         profile, pmap, plan = inputs
@@ -57,7 +59,7 @@ class TestAlgorithm1Invariants:
         assert sorted(assigned) == sorted(op.op_id for op in ops)
         assert len(assigned) == len(set(assigned))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ranking_inputs())
     def test_density_order_is_descending(self, inputs):
         profile, pmap, plan = inputs
@@ -66,7 +68,7 @@ class TestAlgorithm1Invariants:
         densities = [spec.benefit_density for spec in specs]
         assert densities == sorted(densities, reverse=True)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ranking_inputs())
     def test_costs_and_benefits_consistent(self, inputs):
         profile, pmap, plan = inputs
@@ -79,7 +81,7 @@ class TestAlgorithm1Invariants:
             if spec.cost > 0:
                 assert spec.benefit_density == spec.benefit / spec.cost
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(ranking_inputs())
     def test_benefiting_specs_only_for_improving_types(self, inputs):
         profile, pmap, plan = inputs
@@ -91,7 +93,7 @@ class TestAlgorithm1Invariants:
                 ttype = profile.type(spec.type_id)
                 assert model.improvement(ttype, plan, pmap) > 0
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(ranking_inputs())
     def test_deterministic(self, inputs):
         profile, pmap, plan = inputs

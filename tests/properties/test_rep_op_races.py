@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.partitioning import CreateReplica, DeleteReplica, Migrate
 from repro.types import Priority, TxnStatus
 
+from ..hypothesis_budget import examples
 from ..txn.conftest import build_stack
 
 KEYS = [0, 1, 2]
@@ -114,7 +115,7 @@ def assert_agreed(stack, txns):
 
 
 class TestReplicaSetAgreement:
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.lists(txn_specs, min_size=2, max_size=5))
     def test_racing_ops_leave_map_and_stores_agreed(self, specs):
         assert_agreed(*run_scenario(specs))

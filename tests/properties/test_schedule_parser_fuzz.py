@@ -17,6 +17,8 @@ from repro.elasticity import parse_elasticity_schedule
 from repro.errors import ConfigError
 from repro.faults import parse_fault_schedule
 
+from ..hypothesis_budget import examples
+
 #: Number-ish tokens, weighted toward what ``float``/``int`` accept but
 #: the schedules cannot run.
 NUMBERS = st.one_of(
@@ -53,7 +55,7 @@ def numbers_in(config):
             yield value
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=examples(400), deadline=None)
 @given(SCHEDULE_TEXT)
 def test_parsers_raise_config_error_or_return_finite_configs(text):
     for parse in (parse_elasticity_schedule, parse_fault_schedule):

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt
 
+from ..hypothesis_budget import examples
 from ..sim.heapq_reference import HeapqEnvironment
 
 #: Delays are floats on purpose — both schedulers must order identical
@@ -246,7 +247,7 @@ def _execute_intervals(make_env, program):
 
 
 class TestPopOrderEquivalence:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @given(case=_cases)
     def test_run_produces_identical_firing_log(self, case):
         program, bucket_limit = case
@@ -256,7 +257,7 @@ class TestPopOrderEquivalence:
         )
         assert actual == reference
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(case=_cases)
     def test_stepwise_peek_and_pop_schedule_identical(self, case):
         program, bucket_limit = case
@@ -267,7 +268,7 @@ class TestPopOrderEquivalence:
         assert log == ref_log
         assert trace == ref_trace
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(case=_cases)
     def test_interval_batched_run_identical(self, case):
         program, bucket_limit = case

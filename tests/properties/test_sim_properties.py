@@ -12,9 +12,11 @@ from repro.sim import Environment, ZipfSampler
 from repro.txn import ProcessingQueue, Transaction
 from repro.types import AccessMode, Priority, TxnKind
 
+from ..hypothesis_budget import examples
+
 
 class TestKernelDeterminism:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -42,7 +44,7 @@ class TestKernelDeterminism:
 
 
 class TestQueueProperties:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(
         st.lists(
             st.tuples(
@@ -84,7 +86,7 @@ class TestQueueProperties:
 
 
 class TestParserProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         st.integers(min_value=0, max_value=10**9),
         st.integers(min_value=-(10**6), max_value=10**6),
@@ -99,7 +101,7 @@ class TestParserProperties:
 
 
 class TestZipfProperties:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(
         st.integers(min_value=1, max_value=500),
         st.floats(min_value=0.0, max_value=3.0, allow_nan=False),
@@ -111,7 +113,7 @@ class TestZipfProperties:
         assert all(p > 0 for p in sampler.probabilities)
         assert 0 <= sampler.sample() < n
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     @given(
         st.integers(min_value=2, max_value=500),
         st.floats(min_value=0.1, max_value=3.0, allow_nan=False),
@@ -123,7 +125,7 @@ class TestZipfProperties:
 
 
 class TestPIDProperties:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     @given(
         st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
         st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -133,7 +135,7 @@ class TestPIDProperties:
         pid = PIDController(kp=kp, setpoint=setpoint)
         assert pid.update(pv) == (setpoint - pv) * kp
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(
         st.lists(
             st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),

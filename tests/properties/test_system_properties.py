@@ -20,6 +20,8 @@ from repro.cluster import ClusterConfig
 from repro.experiments import bench_scale, run_experiment
 from repro.workload import WorkloadConfig
 
+from ..hypothesis_budget import examples
+
 SCHEDULERS = st.sampled_from(
     ["ApplyAll", "AfterAll", "Feedback", "Piggyback", "Hybrid"]
 )
@@ -54,7 +56,7 @@ def mini_configs(draw):
 
 
 class TestSystemInvariants:
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=examples(15), deadline=None)
     @given(mini_configs())
     def test_tuples_conserved_and_metrics_sane(self, config):
         from repro.experiments import build_system, start_repartitioning
@@ -105,7 +107,7 @@ class TestSystemInvariants:
             assert record.normal_cost >= 0.0
             assert record.mean_latency_ms >= 0.0
 
-    @settings(max_examples=5, deadline=None)
+    @settings(max_examples=examples(5), deadline=None)
     @given(mini_configs())
     def test_same_config_replays_identically(self, config):
         first = run_experiment(config)

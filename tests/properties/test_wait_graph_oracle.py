@@ -29,6 +29,7 @@ from repro.experiments import bench_scale, run_experiment
 from repro.locking import DeadlockDetector, LockManager, LockMode
 from repro.sim import Environment
 
+from ..hypothesis_budget import examples
 from ..locking.reference import ReferenceDetector, ReferenceLockManager
 
 # A small universe keeps queues deep and cycles frequent.
@@ -186,7 +187,7 @@ def check_step(shipped: World, reference: World, finished: set[int]) -> None:
 
 
 class TestIncrementalGraphMatchesReference:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(OPS)
     def test_every_step_of_every_interleaving(self, ops):
         run_both(ops)

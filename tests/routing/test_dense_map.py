@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro.errors import RoutingError
 from repro.routing import PartitionMap
 
+from ..hypothesis_budget import examples
+
 CAPACITY = 8
 #: In-range dense keys, out-of-range ints, and negatives all in one pool.
 KEYS = st.integers(min_value=-2, max_value=CAPACITY + 3)
@@ -99,7 +101,7 @@ def _assert_matches(pmap, model, version):
             assert pmap.primary_of(key) == replicas[0]
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=examples(250), deadline=None)
 @given(OPS, st.sampled_from([0, CAPACITY]))
 def test_equivalent_to_partition_map(ops, capacity):
     """Same results, errors, sizes, and contents for any interleaving,

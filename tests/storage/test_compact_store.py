@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.storage import PartitionStore, Record, WriteAheadLog, recover
 
+from ..hypothesis_budget import examples
+
 KEYS = st.integers(min_value=0, max_value=15)
 VALUES = st.integers(min_value=-(2**62), max_value=2**62)
 OPS = st.lists(
@@ -99,7 +101,7 @@ def _apply(store, op, key, value):
         return None, str(exc)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(OPS)
 def test_equivalent_to_partition_store(ops):
     """Same results, errors, counters, and contents for any interleaving."""
