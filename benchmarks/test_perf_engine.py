@@ -6,7 +6,7 @@ trajectory to compare against (``benchmarks/bench_guard.py`` gates CI on
 the kernel numbers):
 
 * **kernel microbench** — three event-loop shapes: *drain* (pre-scheduled
-  timeouts, the calendar queue's best case), *mixed* (every callback
+  timeouts, one deep heap), *mixed* (every callback
   schedules the next timeout, the steady-state simulation shape), and
   the batched ``run_intervals`` path;
 * **cell** — wall-clock of one standard bench-scale cell;

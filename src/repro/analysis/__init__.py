@@ -1,7 +1,7 @@
 """repro-lint: AST-based static enforcement of the repo's invariants.
 
 ``python -m repro.analysis src tests benchmarks`` runs every registered
-rule (RPR001-RPR006) and exits non-zero on unsuppressed findings; see
+rule (RPR001-RPR005, RPR007) and exits non-zero on unsuppressed findings; see
 :mod:`repro.analysis.core` for the framework and
 :mod:`repro.analysis.rules` for the rule set.
 """

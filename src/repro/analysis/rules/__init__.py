@@ -8,13 +8,11 @@ Importing this package registers every rule with
 * ``RPR003`` — ``MapEpoch`` / live-map immutability outside the store
 * ``RPR004`` — ``__slots__`` required on hot-path classes
 * ``RPR005`` — RNG streams must be injected, never constructed ad hoc
-* ``RPR006`` — scheduler cursor write-back must be ``finally``-guarded
 * ``RPR007`` — cluster membership mutated only through the Cluster API
 """
 
 from . import (  # noqa: F401
     cache_key,
-    cursor,
     determinism,
     epoch,
     membership,

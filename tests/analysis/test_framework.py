@@ -28,7 +28,7 @@ SIM_PATH = "src/repro/sim/stamp.py"
 
 
 class TestRegistry:
-    def test_all_seven_rules_registered(self) -> None:
+    def test_all_six_rules_registered(self) -> None:
         codes = {rule.code for rule in all_rules()}
         assert codes == {
             "RPR001",
@@ -36,7 +36,6 @@ class TestRegistry:
             "RPR003",
             "RPR004",
             "RPR005",
-            "RPR006",
             "RPR007",
         }
 
@@ -249,7 +248,7 @@ class TestCli:
     def test_list_rules(self, capsys) -> None:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
+        for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR007"):
             assert code in out
 
     def test_fixture_directories_are_never_scanned(

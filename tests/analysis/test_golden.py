@@ -29,7 +29,7 @@ def test_corpus_is_nonempty() -> None:
 
 
 def test_every_rule_has_fixture_coverage() -> None:
-    """All seven RPR rules appear in at least one golden file."""
+    """All six RPR rules appear in at least one golden file."""
     covered = set()
     for case in CASES:
         golden = expected_path(case)
@@ -45,7 +45,6 @@ def test_every_rule_has_fixture_coverage() -> None:
         "RPR003",
         "RPR004",
         "RPR005",
-        "RPR006",
         "RPR007",
     } <= covered
 

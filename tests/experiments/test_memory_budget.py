@@ -15,13 +15,12 @@ Two regression gates:
   seconds.
 """
 
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 from repro.routing import PartitionMap
 from repro.storage import PartitionStore, Record
+
+from ..isolated_child import run_isolated
 
 #: KB ceiling for building the 1M-tuple preset in a fresh process.
 PEAK_RSS_BUDGET_KB = 250_000
@@ -80,16 +79,7 @@ assert loaded == sum(len(s) for s in stores) == config.workload.tuple_count
 
 def _peak_rss_kb_of(snippet: str) -> int:
     """Run ``snippet`` in a fresh interpreter; the number it prints last."""
-    src = Path(__file__).resolve().parents[2] / "src"
-    result = subprocess.run(
-        [sys.executable, "-c", snippet],
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return int(result.stdout.strip().splitlines()[-1])
+    return int(run_isolated(snippet).splitlines()[-1])
 
 
 def test_peak_rss_reader_does_not_measure_its_parent():

@@ -1,22 +1,20 @@
-"""Property test: the calendar-queue scheduler matches the heapq oracle.
+"""Property test: the production scheduler matches the heapq oracle.
 
 Hypothesis generates random interleavings of timeouts, callback-driven
 re-scheduling, processes, interrupts, lazy cancellations, and defused
-failures; each program is interpreted twice — once on the old single-heap
-scheduler (kept verbatim under ``tests/sim/heapq_reference.py``) and once
-on the production :class:`repro.sim.Environment` — and the full firing
-log (virtual time + which callback, i.e. the pop order) must be
-identical.  Small ``bucket_limit`` values are included on purpose: they
-force a refill every handful of events, exercising the bucket/overflow
-machinery far harder than the default ever would.
+failures; each program is interpreted twice — once on the single-heap
+scheduler kept verbatim under ``tests/sim/heapq_reference.py``, which
+keys every entry ``(when, seq)``, and once on the production
+:class:`repro.sim.Environment`, which keeps same-instant work in a ready
+queue beside its heap — and the full firing log (virtual time + which
+callback, i.e. the pop order) must be identical.
 
 The *same-instant* shapes get their own programs: events succeeded from
 inside a callback with and without a waiter, processes yielding events
 that triggered before the yield, conditions over a pre-triggered child —
-all on small integer delays (zero included) under ``bucket_limit`` 1–3,
-so ties are the rule and entries fall due exactly on the bucket's
-horizon, where a refill has to come before anything scheduled *at* the
-instant is served.
+all on small integer delays (zero included), so ties are the rule and
+timed entries keep falling due at an instant that already has ready
+work, which they must precede.
 """
 
 from math import inf
@@ -36,8 +34,7 @@ _delays = st.one_of(
     st.integers(min_value=0, max_value=50).map(float),
 )
 
-#: Whole ticks, zero included: ties at one instant are the rule, and
-#: with a tiny bucket the entries land exactly on its horizon.
+#: Whole ticks, zero included: ties at one instant are the rule.
 _ticks = st.integers(min_value=0, max_value=4).map(float)
 
 
@@ -45,8 +42,8 @@ def _ops(delays):
     return st.one_of(
         # plain timeout with a logging callback
         st.tuples(st.just("timeout"), delays),
-        # timeout whose callback schedules more timeouts (the late-arrival
-        # path: inserts land while the current bucket is being drained)
+        # timeout whose callback schedules more timeouts (inserts land
+        # while earlier entries are still pending)
         st.tuples(st.just("chain"), delays, st.lists(delays, max_size=3)),
         # a process sleeping through several timeouts
         st.tuples(st.just("proc"), st.lists(delays, min_size=1, max_size=4)),
@@ -71,17 +68,11 @@ def _ops(delays):
     )
 
 
-#: ``(program, bucket_limit)``: float delays over every bucket size, or
-#: ties everywhere over buckets of 1-3 (the same-instant shapes).
+#: Programs on float delays, or on whole ticks where ties are everywhere
+#: (the same-instant shapes).
 _cases = st.one_of(
-    st.tuples(
-        st.lists(_ops(_delays), max_size=25),
-        st.sampled_from([1, 2, 3, 7, 64, 2048]),
-    ),
-    st.tuples(
-        st.lists(_ops(_ticks), max_size=25),
-        st.sampled_from([1, 2, 3]),
-    ),
+    st.lists(_ops(_delays), max_size=25),
+    st.lists(_ops(_ticks), max_size=25),
 )
 
 
@@ -248,32 +239,23 @@ def _execute_intervals(make_env, program):
 
 class TestPopOrderEquivalence:
     @settings(max_examples=examples(400), deadline=None)
-    @given(case=_cases)
-    def test_run_produces_identical_firing_log(self, case):
-        program, bucket_limit = case
+    @given(program=_cases)
+    def test_run_produces_identical_firing_log(self, program):
         reference = _execute(HeapqEnvironment, program)
-        actual = _execute(
-            lambda: Environment(bucket_limit=bucket_limit), program
-        )
+        actual = _execute(Environment, program)
         assert actual == reference
 
     @settings(max_examples=examples(200), deadline=None)
-    @given(case=_cases)
-    def test_stepwise_peek_and_pop_schedule_identical(self, case):
-        program, bucket_limit = case
+    @given(program=_cases)
+    def test_stepwise_peek_and_pop_schedule_identical(self, program):
         ref_log, ref_trace = _execute_stepwise(HeapqEnvironment, program)
-        log, trace = _execute_stepwise(
-            lambda: Environment(bucket_limit=bucket_limit), program
-        )
+        log, trace = _execute_stepwise(Environment, program)
         assert log == ref_log
         assert trace == ref_trace
 
     @settings(max_examples=examples(200), deadline=None)
-    @given(case=_cases)
-    def test_interval_batched_run_identical(self, case):
-        program, bucket_limit = case
+    @given(program=_cases)
+    def test_interval_batched_run_identical(self, program):
         ref = _execute_intervals(HeapqEnvironment, program)
-        actual = _execute_intervals(
-            lambda: Environment(bucket_limit=bucket_limit), program
-        )
+        actual = _execute_intervals(Environment, program)
         assert actual == ref

@@ -42,8 +42,6 @@ class HeapqEnvironment:
     """Single-heap reference scheduler (old `repro.sim.Environment`)."""
 
     def __init__(self, initial_time: float = 0.0, **_ignored: Any) -> None:
-        # ``**_ignored`` swallows the new scheduler's ``bucket_limit``
-        # argument so the oracle is a drop-in substitute.
         self._now = float(initial_time)
         self._queue: list[tuple] = []
         self._seq = count()

@@ -6,13 +6,10 @@ graph libraries are needed by one optional planner and by nothing a
 standard cell runs, so they must load on first use, not on import.
 """
 
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from .isolated_child import run_isolated
+
 HEAVY = ("networkx", "numpy", "scipy")
 
 _SNIPPET = """
@@ -23,29 +20,8 @@ print(",".join(m for m in {heavy!r} if m in sys.modules))
 
 
 def test_experiment_imports_leave_heavy_libraries_unloaded():
-    result = subprocess.run(
-        [sys.executable, "-c", _SNIPPET.format(heavy=HEAVY)],
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "", (
-        f"import repro.experiments loaded {result.stdout.strip()}"
-    )
-
-
-def _run(snippet, *flags):
-    result = subprocess.run(
-        [sys.executable, *flags, "-c", snippet],
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    loaded = run_isolated(_SNIPPET.format(heavy=HEAVY), timeout=60)
+    assert loaded == "", f"import repro.experiments loaded {loaded}"
 
 
 #: What ``benchmarks/e2e/child.py`` and a ``run_cells`` worker import
@@ -72,7 +48,7 @@ CELL_MODULE_BUDGET = 185
 
 
 def test_cell_imports_load_what_a_cell_runs_and_no_more():
-    out = _run(_CELL_IMPORTS + f"""
+    out = run_isolated(_CELL_IMPORTS + f"""
 print(len(sys.modules), ",".join(m for m in {NOT_FOR_A_CELL!r} if m in sys.modules))
 """, "-S")
     count, _, loaded = out.partition(" ")
@@ -128,7 +104,7 @@ _ELASTIC = """dict(
 def test_no_module_is_first_imported_after_build_system_returns(elastic):
     """An import that moved from set-up into the run would be paid per
     commit and seen by no set-up timer."""
-    late = _run(_RUN_A_CELL.replace("ELASTIC", elastic))
+    late = run_isolated(_RUN_A_CELL.replace("ELASTIC", elastic))
     assert late == "", f"first imported during the run: {late}"
 
 
@@ -166,4 +142,4 @@ with mock.patch("repro.experiments.runner.build_system") as patched:
 
 
 def test_every_exported_name_resolves_through_the_facades():
-    _run(_FACADE_CONTRACT)
+    run_isolated(_FACADE_CONTRACT)
